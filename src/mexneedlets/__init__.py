@@ -13,14 +13,13 @@ from .harmonics import (legendre_eval, legendre_table, multiplicity, real_sh_mat
                         sh_index, sphere_eigenvalue)
 from .fields import HarmonicField, evaluate_field, field_to_csv
 from .cubature import CubatureRule, cubature_rule, cubature_to_csv
-from .partition import (Cell, ScalePartition, build_partition, greedy_ball_partition,
-                        locate_cell, partition_to_json, rect_diameter)
-from .kernels import (KernelProfile, kernel_auto, kernel_gaussian_approx,
-                      kernel_profile, kernel_series, series_gaussian_max_diff)
-from .frame import (FrameBounds, FrameCoefficients, FrameSpec, analyze,
-                    apply_summation, coefficients_to_csv, default_scale_window,
-                    empirical_frame_bounds, frame_element, quadratic_form,
-                    rayleigh_quotient, spectral_multiplier_energy)
+from .partition import (ScalePartition, build_partition, greedy_ball_partition,
+                        partition_to_json, rect_diameter)
+from .kernels import (KernelProfile, kernel_gaussian_approx, kernel_profile,
+                      kernel_series, series_gaussian_max_diff)
+from .frame import (FrameBounds, FrameSpec, analyze, apply_summation, coefficients_to_csv,
+                    default_scale_window, empirical_frame_bounds, frame_element,
+                    quadratic_form, rayleigh_quotient, spectral_multiplier_energy)
 from .truncation import (FrequencyBoundReport, GeodesicCap, SpatialTruncationReport,
                          complement_masks, fit_riemann_constant, frequency_bound,
                          measured_truncation_error, moment_constant,
@@ -28,8 +27,8 @@ from .truncation import (FrequencyBoundReport, GeodesicCap, SpatialTruncationRep
                          spectral_tail_norm, window_margin)
 from .needlets import (NeedletFrame, build_needlet_frame, crossing_bracket,
                        crossing_index, hybrid_cut_degree, hybrid_rate, hybrid_tail_diagnostics,
-                       needlet_analyze, needlet_empirical_bounds,
-                       needlet_frame_element, tightness_ratio, tail_bound_lhs_rhs)
+                       needlet_analyze, needlet_frame_element, tightness_ratio,
+                       tail_bound_lhs_rhs)
 from . import errors
 
 __version__ = "0.1.0"

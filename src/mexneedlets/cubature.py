@@ -53,11 +53,6 @@ def cubature_rule(m):
     return CubatureRule(degree=int(m), grid=grid)
 
 
-def integrate(rule, values):
-    """Weighted sum of point values."""
-    return float(np.dot(rule.weights, values))
-
-
 def harmonic_residuals(rule, L):
     """Cubature applied to every Y_{l,q} with l <= L; exact rules return ~0 for l >= 1."""
     return rule.grid.adjoint(rule.grid.point_weights(), L)

@@ -75,11 +75,6 @@ def truncated_daubechies_sum(filt, a, lam, M, N):
     return float(np.sum(np.square(vals)))
 
 
-def eigen_weight(filt, a, j, lam):
-    """Filter weight of eigenvalue ``lam`` at ladder scale t = a^j."""
-    return filt.multiplier(a ** j, lam)
-
-
 def eigen_daubechies_sum(filt, a, lam):
     """Full ladder sum expressed on the eigenvalue axis: sum_j multiplier(a^j, lam)^2."""
     if filt.dilation_exponent == 2:

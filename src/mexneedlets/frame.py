@@ -1,13 +1,20 @@
 """Frame construction, analysis coefficients and the summation operator.
 
-The frame element for scale j and cell k is, in spectral form,
+The frame element for scale j and point k is, in spectral form,
 
-    phi_{j,k}[l,q] = mu(E_{j,k})^{1/2} w_j(l) Y_{l,q}(x_{j,k}),
+    phi_{j,k}[l,q] = mu_{j,k}^{1/2} w_j(l) Y_{l,q}(x_{j,k}),   l <= L_j,
 
-with w_j(l) the filter multiplier of the eigenvalue l(l+1) at scale a^j.
-With this normalization the summation operator is
+with w_j(l) the filter multiplier of degree l at scale j.  With this
+normalization the summation operator is
 S F = sum_{j,k} <F, phi_{j,k}> phi_{j,k}, and all inner products are exact
 spectral dot products in the band-limited space (no quadrature).
+
+Every frame reaches this module through ``terms()``: per scale j, a
+``BandGrid`` whose point weights are the mu_{j,k}, and the degree weights
+w_j(0..L_j).  A ``FrameSpec`` samples cell centers with cell measures
+(L_j = L_max); a cutoff-needlet frame samples cubature nodes with
+cubature weights (L_j = l_cut(j)).  At scale j a field is read only
+through degrees l <= min(L_j, field band).
 """
 
 import csv
@@ -75,7 +82,8 @@ class FrameSpec:
         self.partitions = dict(sorted(partitions.items()))
         self.j_min = min(self.partitions)
         self.j_max = max(self.partitions)
-        self._degree_of_index = degree_of_index(L_max)
+        if any(part.grid is None for part in self.partitions.values()):
+            raise ValueError("frames need band partitions; greedy partitions are a witness only")
         self._weights = {}
 
     @classmethod
@@ -105,8 +113,12 @@ class FrameSpec:
             self._weights[j] = w
         return self._weights[j]
 
-    def coeff_weights(self, j):
-        return self.weight_vector(j)[self._degree_of_index]
+    def terms(self):
+        """[(j, cell-center grid with cell measures, w_j)] for every scale."""
+        return [(j, self.partitions[j].grid, self.weight_vector(j)) for j in self.scales]
+
+    def coverage_limit(self):
+        return self.L_max
 
     def n_cells(self, j):
         return self.partitions[j].n_cells
@@ -120,98 +132,84 @@ class FrameSpec:
         return sum(self.n_cells(j) for j in self.scales)
 
 
-def _check_field(spec, field):
+def _band_limit(frame):
+    """Largest degree any scale of the frame carries."""
+    return max(len(w) for _, _, w in frame.terms()) - 1
+
+
+def _check_field(frame, field):
     # constants are allowed everywhere: the frame annihilates them exactly
-    if field.L_max > spec.L_max and np.any(field.coeffs[n_coeffs(spec.L_max):] != 0.0):
-        raise BandLimitError("field carries degrees beyond the frame band limit")
-    if field.L_max < spec.L_max:
-        return field.padded(spec.L_max)
-    if field.L_max > spec.L_max:
-        return HarmonicField(field.coeffs[: n_coeffs(spec.L_max)].copy())
+    L = _band_limit(frame)
+    if field.L_max > L:
+        if np.any(field.coeffs[n_coeffs(L):] != 0.0):
+            raise BandLimitError("field carries degrees beyond the frame band limit")
+        return HarmonicField(field.coeffs[: n_coeffs(L)].copy())
     return field
 
 
-def scale_values(spec, field, j):
-    """G_j(x_{j,k}) = [f(a^{2j} Delta) F](x_{j,k}) at every cell center."""
-    field = _check_field(spec, field)
-    return spec.partitions[j].synthesis(spec.coeff_weights(j) * field.coeffs)
+def _weighted(w, field):
+    """Coefficients w(l) c_{l,q} for l <= min(L_j, field band)."""
+    L = min(len(w) - 1, field.L_max)
+    return w[degree_of_index(L)] * field.coeffs[: n_coeffs(L)]
 
 
-class FrameCoefficients:
-    """Analysis coefficients <F, phi_{j,k}> stored per scale."""
-
-    def __init__(self, per_scale):
-        self.per_scale = per_scale
-
-    def value(self, j, k):
-        return float(self.per_scale[j][k])
-
-    def scale_array(self, j):
-        return self.per_scale[j]
-
-    def total_energy(self):
-        return float(sum(np.dot(v, v) for v in self.per_scale.values()))
-
-    def items(self):
-        return self.per_scale.items()
+def _scale_values(frame, field, scales=None):
+    """Yield (j, grid, w_j, [w_j(M) F](x_{j,k})) per selected scale."""
+    field = _check_field(frame, field)
+    use = None if scales is None else set(scales)
+    for j, grid, w in frame.terms():
+        if use is None or j in use:
+            yield j, grid, w, grid.synthesis(_weighted(w, field))
 
 
-def analyze(spec, field):
-    """All frame coefficients of a mean-zero band-limited field (exact)."""
-    field = _check_field(spec, field)
-    per_scale = {}
-    for j in spec.scales:
-        part = spec.partitions[j]
-        values = part.synthesis(spec.coeff_weights(j) * field.coeffs)
-        per_scale[j] = np.sqrt(part.measures()) * values
-    return FrameCoefficients(per_scale)
+def _masked_weights(grid, masks, j):
+    mu = grid.point_weights()
+    if masks is not None and j in masks:
+        mu = np.where(masks[j], mu, 0.0)
+    return mu
 
 
-def frame_element(spec, j, k):
+def analyze(frame, field):
+    """All coefficients <F, phi_{j,k}> = mu_{j,k}^{1/2} [w_j(M) F](x_{j,k}), per scale."""
+    return {j: np.sqrt(grid.point_weights()) * values
+            for j, grid, _, values in _scale_values(frame, field)}
+
+
+def frame_element(frame, j, k):
     """phi_{j,k} as a band-limited field."""
-    part = spec.partitions[j]
-    center = part.center_of(k)
-    ymat = real_sh_matrix(spec.L_max, center[None, :])[0]
-    coeffs = math.sqrt(part.measure_of(k)) * spec.coeff_weights(j) * ymat
-    return HarmonicField(coeffs)
+    for scale, grid, w in frame.terms():
+        if scale == j:
+            L = len(w) - 1
+            xyz, weight = grid.point(k)
+            ymat = real_sh_matrix(L, xyz[None, :])[0]
+            return HarmonicField(math.sqrt(weight) * w[degree_of_index(L)] * ymat)
+    raise ValueError("no such scale in the frame")
 
 
-def _iter_scale_terms(spec, field, scales=None, masks=None):
-    """Yield (j, measures-masked, values) per scale; shared by the S forms."""
-    field = _check_field(spec, field)
-    use = spec.scales if scales is None else [j for j in spec.scales if j in set(scales)]
-    for j in use:
-        part = spec.partitions[j]
-        values = part.synthesis(spec.coeff_weights(j) * field.coeffs)
-        mu = part.measures()
-        if masks is not None and j in masks:
-            mask = masks[j]
-            mu = np.where(mask, mu, 0.0)
-        yield j, part, mu, values
-
-
-def quadratic_form(spec, field, scales=None, masks=None):
+def quadratic_form(frame, field, scales=None, masks=None):
     """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over the selected index set."""
     total = 0.0
-    for _, _, mu, values in _iter_scale_terms(spec, field, scales, masks):
-        total += float(np.dot(mu, values * values))
+    for j, grid, _, values in _scale_values(frame, field, scales):
+        total += float(np.dot(_masked_weights(grid, masks, j), values * values))
     return total
 
 
-def apply_summation(spec, field, scales=None, masks=None):
+def apply_summation(frame, field, scales=None, masks=None):
     """S F (or a restricted S_I F) in spectral form; always mean-zero."""
-    out = np.zeros(n_coeffs(spec.L_max))
-    for j, part, mu, values in _iter_scale_terms(spec, field, scales, masks):
-        out += spec.coeff_weights(j) * part.adjoint(mu * values, spec.L_max)
+    out = np.zeros(n_coeffs(_band_limit(frame)))
+    for j, grid, w, values in _scale_values(frame, field, scales):
+        L = len(w) - 1
+        mu = _masked_weights(grid, masks, j)
+        out[: n_coeffs(L)] += w[degree_of_index(L)] * grid.adjoint(mu * values, L)
     return HarmonicField(out)
 
 
-def rayleigh_quotient(spec, field):
+def rayleigh_quotient(frame, field):
     """<S F, F> / <F, F> for a nonzero mean-zero field."""
     require_nonzero(field)
     if not field.mean_zero:
         raise ValueError("Rayleigh quotient is defined on mean-zero fields")
-    return quadratic_form(spec, field) / field.norm() ** 2
+    return quadratic_form(frame, field) / field.norm() ** 2
 
 
 @dataclass(frozen=True)
@@ -227,15 +225,21 @@ class FrameBounds:
                 "trials": self.trials, "seed": self.seed}
 
 
-def empirical_frame_bounds(spec, trials, seed=0):
-    """Extremes of the Rayleigh quotient over seeded random unit fields."""
+def empirical_frame_bounds(frame, trials, seed=0):
+    """Extremes of the Rayleigh quotient over seeded random unit fields.
+
+    Fields are drawn at the frame's ``coverage_limit()``.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    L = frame.coverage_limit()
+    if L < 1:
+        raise ValueError("frame covers no degree completely")
     rng = np.random.default_rng(seed)
     lo, hi = math.inf, -math.inf
     for _ in range(trials):
-        field = HarmonicField.random_mean_zero(spec.L_max, rng)
-        q = rayleigh_quotient(spec, field)
+        field = HarmonicField.random_mean_zero(L, rng)
+        q = rayleigh_quotient(frame, field)
         lo = min(lo, q)
         hi = max(hi, q)
     return FrameBounds(lower=lo, upper=hi, ratio=hi / lo if lo > 0 else math.inf,
@@ -245,8 +249,7 @@ def empirical_frame_bounds(spec, trials, seed=0):
 def spectral_multiplier_energy(spec, field, j):
     """Exact ||f(a^{2j} Delta) F||^2 = sum_{l,q} w_j(l)^2 c_{l,q}^2."""
     field = _check_field(spec, field)
-    w = spec.coeff_weights(j)
-    return float(np.sum((w * field.coeffs) ** 2))
+    return float(np.sum(_weighted(spec.weight_vector(j), field) ** 2))
 
 
 def coefficients_to_csv(spec, coeffs, path):
@@ -256,10 +259,10 @@ def coefficients_to_csv(spec, coeffs, path):
         writer.writerow(["j", "k", "center_x", "center_y", "center_z",
                          "measure", "coefficient"])
         for j, values in coeffs.items():
-            part = spec.partitions[j]
-            mu = part.measures()
-            centers = part.center_points()
-            for k in range(part.n_cells):
+            grid = spec.partitions[j].grid
+            mu = grid.point_weights()
+            centers = grid.points()
+            for k in range(grid.n_points):
                 c = centers[k]
                 writer.writerow([j, k, repr(float(c[0])), repr(float(c[1])),
                                  repr(float(c[2])), repr(float(mu[k])),

@@ -126,14 +126,6 @@ def kernel_gaussian_approx(t, theta, filt=None):
     return float(out[0]) if scalar else out
 
 
-def kernel_auto(filt, t, cos_theta, tol=1e-8, t_cross=DEFAULT_T_CROSS, convention="laplacian"):
-    """Dispatch to the approximation for small t (mexican r=1), else the series."""
-    if (filt.is_mexican and filt.r == 1 and convention == "laplacian" and t < t_cross):
-        theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-        return kernel_gaussian_approx(t, theta)
-    return kernel_series(filt, t, cos_theta, tol=tol, convention=convention)
-
-
 @dataclass
 class KernelProfile:
     t: float

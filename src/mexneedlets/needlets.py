@@ -5,7 +5,9 @@ dyadic band projections keep degree below a per-scale cut l(j), so every
 analysis energy integral is a spherical polynomial handled exactly by a
 degree-2l(j) cubature rule.  The resulting frame is tight to rounding,
 the reference point against which the mexican frames' nearly-tight
-ratios are compared.
+ratios are compared.  Analysis, elements and the summation operator are
+the ``frame`` module's, through ``NeedletFrame.terms()``; fields with
+content above the largest cut degree raise ``BandLimitError``.
 
 The hybrid estimates quantify what happens when the mexican filter (not
 compactly supported) is combined with the same cubature sampling: tail
@@ -20,8 +22,7 @@ import numpy as np
 
 from .cubature import cubature_rule
 from .errors import ZeroFieldError
-from .fields import HarmonicField
-from .harmonics import n_coeffs, real_sh_matrix
+from .frame import analyze, frame_element, quadratic_form
 
 
 def _nu(ls, convention):
@@ -46,6 +47,10 @@ class NeedletFrame:
     filter: object
     convention: str
     scales: list = dataclass_field(default_factory=list)
+
+    def terms(self):
+        """[(j, cubature grid with cubature weights, g(2^j nu_l) for l <= l_cut)]."""
+        return [(s.j, s.rule.grid, s.weights) for s in self.scales]
 
     def coverage_limit(self):
         """Largest L with the full partition of unity inside the scale range."""
@@ -95,23 +100,10 @@ def build_needlet_frame(g, j_min, j_max, convention="degree"):
     return NeedletFrame(filter=g, convention=convention, scales=scales)
 
 
-def _scale_node_values(scale, field):
-    """(g(2^j M) F) at the cubature nodes of one scale."""
-    L = min(scale.l_cut, field.L_max)
-    coeffs = field.coeffs[: n_coeffs(L)].copy()
-    w = np.zeros(n_coeffs(L))
-    for l in range(L + 1):
-        w[l * l: (l + 1) * (l + 1)] = scale.weights[l]
-    return scale.rule.grid.synthesis(w * coeffs)
-
-
-def needlet_analyze(frame, field):
-    """Coefficients <F, phi_{j,i}> = sqrt(lambda_i) (g(2^j M) F)(x_i) per scale."""
-    out = {}
-    for scale in frame.scales:
-        values = _scale_node_values(scale, field)
-        out[scale.j] = np.sqrt(scale.rule.weights) * values
-    return out
+# phi_{j,i} = lambda_i^{1/2} sum_l g(2^j nu_l) Y_l(x_i) Y_l is frame.py's element
+# with cubature nodes and weights in place of cell centers and measures.
+needlet_analyze = analyze
+needlet_frame_element = frame_element
 
 
 def tightness_ratio(frame, field):
@@ -119,39 +111,7 @@ def tightness_ratio(frame, field):
     norm_sq = field.norm() ** 2
     if norm_sq == 0.0:
         raise ZeroFieldError("tightness undefined for the zero field")
-    total = 0.0
-    for scale in frame.scales:
-        values = _scale_node_values(scale, field)
-        total += float(np.dot(scale.rule.weights, values * values))
-    return total / norm_sq
-
-
-def needlet_frame_element(frame, j, i):
-    """phi_{j,i} as a band-limited field."""
-    for scale in frame.scales:
-        if scale.j == j:
-            node = scale.rule.nodes[i]
-            lam = scale.rule.weights[i]
-            ymat = real_sh_matrix(scale.l_cut, node[None, :])[0]
-            w = np.zeros(n_coeffs(scale.l_cut))
-            for l in range(scale.l_cut + 1):
-                w[l * l: (l + 1) * (l + 1)] = scale.weights[l]
-            return HarmonicField(math.sqrt(lam) * w * ymat)
-    raise ValueError("no such scale in the frame")
-
-
-def needlet_empirical_bounds(frame, trials, seed=0):
-    """min/max/ratio of the tightness ratio over covered random fields."""
-    L = frame.coverage_limit()
-    if L < 1:
-        raise ValueError("frame covers no degree completely")
-    rng = np.random.default_rng(seed)
-    lo, hi = math.inf, -math.inf
-    for _ in range(trials):
-        f = HarmonicField.random_mean_zero(L, rng)
-        r = tightness_ratio(frame, f)
-        lo, hi = min(lo, r), max(hi, r)
-    return lo, hi, hi / lo
+    return quadratic_form(frame, field) / norm_sq
 
 
 # -- hybrid-frame tail estimates -------------------------------------------

@@ -6,20 +6,20 @@ into equal-area longitude cells whose geodesic diameter is certified
 closed-form to stay below the target d.  Cell areas are analytic, so the
 partition identity sum(mu) = 4 pi holds to rounding.
 
-A greedy maximal-ball construction is kept as a fidelity witness: cells
+A greedy maximal-ball construction is kept as a geometric witness: cells
 are recursive set differences of caps, represented as label maps on a
-quadrature grid (no closed-form areas).
+quadrature grid (no closed-form areas).  It has no sampling grid
+(``grid`` is None) and never enters a frame.
 """
 
 import json
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CellCountOverflowError
-from .harmonics import geodesic_distance, sph_to_xyz
+from .harmonics import geodesic_distance
 from .sphgrid import BandGrid
 
 DESK_SCALE_MIN_DIAMETER = 1e-3
@@ -63,14 +63,6 @@ def rect_diameter(theta1, theta2, dphi):
     return best
 
 
-@dataclass
-class Cell:
-    center: np.ndarray
-    measure: float
-    diameter_bound: float
-    geometry: dict
-
-
 class ScalePartition:
     """Disjoint cover of S^2 for one scale; immutable after construction."""
 
@@ -81,7 +73,6 @@ class ScalePartition:
         self.target = target
         self._rows = rows
         self._greedy = greedy
-        self._cells = None
         if rows is not None:
             self.kind = "bands"
             self._theta_edges = np.concatenate((rows["theta_lo"], [math.pi]))
@@ -117,34 +108,6 @@ class ScalePartition:
             return self.grid.points()
         return self._greedy["centers"].copy()
 
-    def center_blocks(self):
-        """Yield (point slice, centers block) without materializing everything."""
-        if self.kind == "bands":
-            yield from self.grid.block_iter()
-        else:
-            yield slice(0, self.n_cells), self._greedy["centers"]
-
-    def center_of(self, k):
-        """Center of a single cell without materializing the cell list."""
-        if not 0 <= k < self.n_cells:
-            raise ValueError("cell index out of range")
-        if self.kind == "greedy":
-            return self._greedy["centers"][k].copy()
-        row = int(np.searchsorted(self._row_start, k, side="right")) - 1
-        local = k - self._row_start[row]
-        if self._rows["is_cap"][row]:
-            return np.array([0.0, 0.0, 1.0 if self._rows["theta_c"][row] < math.pi / 2 else -1.0])
-        phi = (local + PHI_FRACTION) * self._rows["dphi"][row]
-        return sph_to_xyz(self._rows["theta_c"][row], phi)
-
-    def measure_of(self, k):
-        if not 0 <= k < self.n_cells:
-            raise ValueError("cell index out of range")
-        if self.kind == "greedy":
-            return float(self._greedy["measures"][k])
-        row = int(np.searchsorted(self._row_start, k, side="right")) - 1
-        return float(self._rows["cell_area"][row])
-
     def sum_measure(self):
         if self.kind == "bands":
             return float(np.dot(self._rows["cell_area"], self._rows["count"]))
@@ -163,68 +126,6 @@ class ScalePartition:
     def achieved_c0(self):
         """min_k mu(E_k) / target^2, the measured measure-condition constant."""
         return self.min_measure() / self.target ** 2
-
-    @property
-    def cells(self):
-        if self._cells is None:
-            self._cells = self._build_cells()
-        return self._cells
-
-    def _build_cells(self):
-        out = []
-        if self.kind == "bands":
-            rows = self._rows
-            for i in range(len(rows["theta_lo"])):
-                lo, hi = rows["theta_lo"][i], rows["theta_hi"][i]
-                m = int(rows["count"][i])
-                dphi = rows["dphi"][i]
-                theta_c = rows["theta_c"][i]
-                for k in range(m):
-                    phi_c = (k + PHI_FRACTION) * dphi
-                    if rows["is_cap"][i]:
-                        geom = {"kind": "cap", "theta_range": [lo, hi]}
-                        center = np.array([0.0, 0.0, 1.0 if theta_c < math.pi / 2 else -1.0])
-                        if lo == 0.0 and hi >= math.pi:
-                            geom = {"kind": "sphere"}
-                    else:
-                        geom = {
-                            "kind": "rect",
-                            "theta_range": [lo, hi],
-                            "phi_range": [k * dphi, (k + 1) * dphi],
-                        }
-                        center = sph_to_xyz(theta_c, phi_c)
-                    out.append(Cell(center=center, measure=float(rows["cell_area"][i]),
-                                    diameter_bound=float(rows["diam"][i]), geometry=geom))
-        else:
-            g = self._greedy
-            for k in range(self.n_cells):
-                out.append(Cell(center=g["centers"][k], measure=float(g["measures"][k]),
-                                diameter_bound=g["diameter_bound"],
-                                geometry={"kind": "label_map", "ball_radius": g["t"]}))
-        return out
-
-    # -- harmonic synthesis/adjoint on the cell centers --------------------
-
-    def synthesis(self, coeffs):
-        """Field values at all cell centers."""
-        if self.kind == "bands":
-            return self.grid.synthesis(coeffs)
-        return self._greedy_sh(len(coeffs)) @ coeffs
-
-    def adjoint(self, values, L):
-        """sum_k values[k] Y_{l,q}(x_k) over the cell centers."""
-        if self.kind == "bands":
-            return self.grid.adjoint(values, L)
-        return self._greedy_sh((L + 1) * (L + 1)).T @ values
-
-    def _greedy_sh(self, ncoef):
-        from .harmonics import real_sh_matrix
-
-        L = int(round(math.sqrt(ncoef))) - 1
-        cache = self._greedy.setdefault("sh_cache", {})
-        if L not in cache:
-            cache[L] = real_sh_matrix(L, self._greedy["centers"])
-        return cache[L]
 
     # -- point location ----------------------------------------------------
 
@@ -394,11 +295,6 @@ def _greedy_label_block(centers, t, xyz):
 
 def _greedy_locate(greedy, xyz):
     return int(_greedy_label_block(greedy["centers"], greedy["t"], xyz[None, :])[0])
-
-
-def locate_cell(partition, xyz):
-    """Index k of the cell containing the unit vector xyz."""
-    return partition.locate(xyz)
 
 
 def partition_to_json(partition, path=None):

@@ -86,6 +86,15 @@ class BandGrid:
             rep, phis = self._chunk_phis(rows)
             yield sl, sph_to_xyz(self.theta[rows][rep], phis)
 
+    def point(self, k):
+        """(xyz, weight) of point ``k``, at the longitude the transforms use."""
+        if not 0 <= k < self.n_points:
+            raise ValueError("point index out of range")
+        row = int(np.searchsorted(self.offsets, k, side="right")) - 1
+        phi = self.phi0[row] + self.dphi[row] * (k - self.offsets[row])
+        weight = None if self.row_weight is None else float(self.row_weight[row])
+        return sph_to_xyz(self.theta[row], phi), weight
+
     def points(self):
         out = np.empty((self.n_points, 3))
         for sl, xyz in self.block_iter():
@@ -168,11 +177,3 @@ class BandGrid:
                 out[base - m] = root2 * (plm[:, cols[m]].T @ beta[:, m])
         return out
 
-
-def single_row_grid(theta, count, row_weight=None, phi0=None):
-    """Grid with one colatitude row; longitudes cover the full circle."""
-    dphi = 2.0 * math.pi / count
-    start = 0.5 * dphi if phi0 is None else phi0
-    weight = None if row_weight is None else np.array([row_weight])
-    return BandGrid(np.array([theta]), np.array([start]), np.array([dphi]),
-                    np.array([count]), weight)

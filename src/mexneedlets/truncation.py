@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 
 from .daubechies import daubechies_bounds, eigen_daubechies_sum, truncated_daubechies_sum
 from .fields import evaluate_field
-from .frame import apply_summation, _check_field
+from .frame import _check_field, apply_summation, quadratic_form
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs, sphere_eigenvalue
 from .cubature import cubature_rule
 
@@ -176,9 +176,9 @@ def spatial_index_set(spec, cap, c_by_scale):
         if c_j <= 0:
             raise ValueError("c_j must be positive")
         reach = (c_j + 1.0) * spec.a ** j
-        part = spec.partitions[j]
-        mask = np.empty(part.n_cells, dtype=bool)
-        for sl, xyz in part.center_blocks():
+        grid = spec.partitions[j].grid
+        mask = np.empty(grid.n_points, dtype=bool)
+        for sl, xyz in grid.block_iter():
             mask[sl] = cap.distance(xyz) <= reach
         masks[j] = mask
     return masks
@@ -254,17 +254,20 @@ class SpatialTruncationReport:
     measured_to_structural: float
     kept_cells: int
     dropped_cells: int
+    dropped_quadratic_form: float
 
     def as_dict(self):
         return {k: getattr(self, k) for k in (
             "M", "N", "cap_area", "I_decay", "measured", "structural_factor",
-            "leakage", "measured_to_structural", "kept_cells", "dropped_cells")}
+            "leakage", "measured_to_structural", "kept_cells", "dropped_cells",
+            "dropped_quadratic_form")}
 
 
 def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None):
     """Measured spatial truncation error against its structural envelope.
 
-    ``measured`` is ||S F - S_kept F|| over the cells dropped by
+    ``measured`` is ||S F - S_kept F|| and ``dropped_quadratic_form`` is
+    <(S F - S_kept F), F>, both over the cells dropped by
     ``spatial_index_set``.  ``structural_factor`` is
     [mu(Gamma) sum_j a^{-2j} c_j^{2-2I}]^{1/2} ||chi F|| with the
     approximate on-cap energy of ``cap_energy_split``.  ``leakage`` is
@@ -275,6 +278,7 @@ def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None)
     masks = spatial_index_set(spec, cap, c_by_scale)
     dropped = complement_masks(spec, masks)
     measured = apply_summation(spec, field, masks=dropped).norm()
+    dropped_form = quadratic_form(spec, field, masks=dropped)
     chi_sq, leak_sq = cap_energy_split(spec, field, cap)
     structural_sum = 0.0
     for j in spec.scales:
@@ -291,4 +295,4 @@ def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None)
         M=-spec.j_min, N=spec.j_max, cap_area=cap.area, I_decay=I_decay,
         measured=measured, structural_factor=structural, leakage=leakage,
         measured_to_structural=measured / structural if structural > 0 else math.inf,
-        kept_cells=kept, dropped_cells=total - kept)
+        kept_cells=kept, dropped_cells=total - kept, dropped_quadratic_form=dropped_form)

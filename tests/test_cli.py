@@ -114,6 +114,24 @@ def test_parameter_error_exit_code(capsys):
     assert run(["partition", "--j", "-99", "--a", "1.26", "--b", "0.5"]) == 2
 
 
+def test_non_finite_parameters_exit_2(tmp_path, capsys):
+    cases = [
+        (["partition", "--a", "nan"], "--a"),
+        (["spatial", "--cap-radius", "nan"], "--cap-radius"),
+        (["daubechies", "--a", "nan"], "--a"),
+        (["daubechies", "--a", "inf"], "--a"),
+        (["kernel-profile", "--t", "nan"], "--t"),
+    ]
+    config = tmp_path / "nan.cfg"
+    config.write_text("a = nan\n")
+    cases.append((["partition", "--config", str(config)], "--a"))
+    for argv, option in cases:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: %s must be finite" % option in captured.err
+
+
 def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
-                         apply_summation, coefficients_to_csv, default_scale_window,
-                         empirical_frame_bounds, evaluate_field, frame_element,
-                         kernel_series, quadratic_form, rayleigh_quotient,
-                         spectral_multiplier_energy)
+                         apply_summation, build_partition, coefficients_to_csv,
+                         default_scale_window, empirical_frame_bounds, evaluate_field,
+                         frame_element, greedy_ball_partition, kernel_series,
+                         quadratic_form, rayleigh_quotient, spectral_multiplier_energy)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -27,8 +27,7 @@ def field():
 def test_frame_element_spectral_form(spec):
     el = frame_element(spec, 0, 5)
     assert el.coeff(0, 0) == 0.0
-    part = spec.partitions[0]
-    mu = part.measure_of(5)
+    center, mu = spec.partitions[0].grid.point(5)
     w = spec.weight_vector(0)
     # norm identity through the addition theorem
     norm_sq = mu * sum(w[l] ** 2 * (2 * l + 1) / (4 * math.pi) for l in range(9))
@@ -36,7 +35,7 @@ def test_frame_element_spectral_form(spec):
     # pointwise values agree with the kernel series
     x = np.array([0.3, -0.5, 0.81])
     x /= np.linalg.norm(x)
-    ct = float(np.dot(part.center_of(5), x))
+    ct = float(np.dot(center, x))
     expected = math.sqrt(mu) / (4 * math.pi) * kernel_series(MEX1, A13 ** 0, ct, tol=1e-14)
     assert evaluate_field(el, x) == pytest.approx(expected, rel=1e-10)
 
@@ -45,21 +44,21 @@ def test_analyze_self_inner_product(spec):
     el = frame_element(spec, -2, 7)
     unit = HarmonicField(el.coeffs / el.norm())
     coeffs = analyze(spec, unit)
-    assert coeffs.value(-2, 7) == pytest.approx(el.norm(), rel=1e-12)
+    assert float(coeffs[-2][7]) == pytest.approx(el.norm(), rel=1e-12)
 
 
 def test_constant_field_is_annihilated(spec):
     const = HarmonicField.zeros(8)
     const.coeffs[0] = 3.7
     coeffs = analyze(spec, const)
-    assert coeffs.total_energy() == 0.0
+    assert sum(float(np.dot(v, v)) for v in coeffs.values()) == 0.0
     assert apply_summation(spec, const).norm() == 0.0
 
 
 def test_quadratic_form_consistency(spec, field):
     qf = quadratic_form(spec, field)
     coeffs = analyze(spec, field)
-    assert qf == pytest.approx(coeffs.total_energy(), rel=1e-12)
+    assert qf == pytest.approx(sum(float(np.dot(v, v)) for v in coeffs.values()), rel=1e-12)
     SF = apply_summation(spec, field)
     assert float(np.dot(SF.coeffs, field.coeffs)) == pytest.approx(qf, rel=1e-10)
     assert SF.coeffs[0] == 0.0  # mean-zero output
@@ -97,6 +96,12 @@ def test_band_limit_guard(spec):
     # structurally larger but spectrally inside the band limit is fine
     small = HarmonicField.single_harmonic(3, 1, L=12)
     analyze(spec, small)
+
+
+def test_greedy_partition_is_rejected():
+    greedy = greedy_ball_partition(0.9, candidates=200, grid_theta=32)
+    with pytest.raises(ValueError):
+        FrameSpec(MEX1, A13, 0.5, 8, {0: build_partition(0, A13, 0.5), 1: greedy})
 
 
 def test_single_scale_limit_trend():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mexneedlets import (SpectralFilter, kernel_auto, kernel_gaussian_approx,
+from mexneedlets import (SpectralFilter, kernel_gaussian_approx,
                          kernel_profile, kernel_series, series_gaussian_max_diff)
 from mexneedlets.errors import SeriesOverflowError, UnsupportedFilterError
 from mexneedlets.kernels import band_weight, series_cut_degree
@@ -92,11 +92,12 @@ def test_series_gaussian_agreement():
 
 
 def test_auto_dispatch():
-    assert kernel_auto(MEX1, 10.0, 0.3) == kernel_series(MEX1, 10.0, 0.3)
-    theta = 0.7
-    # arccos(cos(theta)) roundtrip costs a few ulps
-    assert kernel_auto(MEX1, 0.05, math.cos(theta)) == pytest.approx(
-        kernel_gaussian_approx(0.05, theta), rel=1e-10, abs=1e-30)
+    far = kernel_profile(MEX1, 10.0, 101, method="auto")
+    assert far.method == "series"
+    assert np.array_equal(far.values, kernel_series(MEX1, 10.0, np.cos(far.thetas)))
+    near = kernel_profile(MEX1, 0.05, 101, method="auto")
+    assert near.method == "gaussian"
+    assert np.array_equal(near.values, kernel_gaussian_approx(0.05, near.thetas))
     # crossover region: both methods agree to 1e-2
     for x in np.linspace(-1, 1, 21):
         s = kernel_series(MEX1, 0.2, x, tol=1e-10)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mexneedlets import (HarmonicField, SpectralFilter, build_needlet_frame,
-                         crossing_bracket, crossing_index, hybrid_cut_degree,
-                         hybrid_rate, hybrid_tail_diagnostics, needlet_analyze,
-                         needlet_empirical_bounds, needlet_frame_element,
+from mexneedlets import (HarmonicField, SpectralFilter, apply_summation,
+                         build_needlet_frame, crossing_bracket, crossing_index,
+                         empirical_frame_bounds, hybrid_cut_degree, hybrid_rate,
+                         hybrid_tail_diagnostics, needlet_analyze, needlet_frame_element,
                          tail_bound_lhs_rhs, tightness_ratio)
+from mexneedlets.errors import BandLimitError
 
 NORM = SpectralFilter("normalized_cutoff")
 A13 = 2.0 ** (1.0 / 3.0)
@@ -41,8 +42,40 @@ def test_tightness_on_covered_fields(frame):
 
 
 def test_tightness_via_empirical_bounds(frame):
-    lo, hi, ratio = needlet_empirical_bounds(frame, trials=5, seed=1)
+    ratio = empirical_frame_bounds(frame, 5, seed=1).ratio
     assert ratio == pytest.approx(1.0, abs=1e-8)
+
+
+def test_summation_operator_is_identity_on_covered_fields(frame):
+    L = frame.coverage_limit()
+    F = HarmonicField.random_mean_zero(L, np.random.default_rng(5))
+    SF = apply_summation(frame, F)
+    assert SF.L_max == max(s.l_cut for s in frame.scales)
+    assert np.linalg.norm(SF.coeffs - F.padded(SF.L_max).coeffs) <= 1e-12 * F.norm()
+
+
+def test_field_above_largest_cut_is_rejected(frame):
+    band = max(s.l_cut for s in frame.scales)
+    F = HarmonicField.random_mean_zero(band + 1, np.random.default_rng(6))
+    with pytest.raises(BandLimitError):
+        needlet_analyze(frame, F)
+    # zero padding above the band is not content
+    inside = HarmonicField.random_mean_zero(band, np.random.default_rng(6))
+    padded = needlet_analyze(frame, inside.padded(band + 1))
+    for j, values in needlet_analyze(frame, inside).items():
+        assert np.array_equal(padded[j], values)
+
+
+def test_element_sits_on_the_analysis_node(frame):
+    # <F, phi_{j,i}> from the element equals the analysis coefficient
+    F = HarmonicField.random_mean_zero(20, np.random.default_rng(8))
+    coeffs = needlet_analyze(frame, F)
+    for scale in frame.scales:
+        i = scale.rule.n_nodes // 3
+        el = needlet_frame_element(frame, scale.j, i)
+        n = min(el.coeffs.size, F.coeffs.size)
+        assert float(np.dot(el.coeffs[:n], F.coeffs[:n])) == pytest.approx(
+            coeffs[scale.j][i], rel=1e-10, abs=1e-14)
 
 
 def test_nonadjacent_scales_orthogonal(frame):

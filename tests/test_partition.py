@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mexneedlets import build_partition, greedy_ball_partition, locate_cell, partition_to_json, rect_diameter
+from mexneedlets import build_partition, greedy_ball_partition, partition_to_json, rect_diameter
 from mexneedlets.errors import CellCountOverflowError
 from mexneedlets.partition import MEASURE_CONDITION_DELTA0
 from mexneedlets.harmonics import geodesic_distance, sph_to_xyz
@@ -76,9 +76,9 @@ def test_desk_scale_guard():
 
 def test_locate_returns_containing_cell():
     part = build_partition(0, 2.0, 0.6)
-    cells = part.cells
-    for k in (0, 3, len(cells) // 2, len(cells) - 1):
-        assert locate_cell(part, cells[k].center) == k
+    for k in (0, 3, part.n_cells // 2, part.n_cells - 1):
+        xyz, _ = part.grid.point(k)
+        assert part.locate(xyz) == k
 
 
 def test_locate_monte_carlo_multinomial():
@@ -98,9 +98,17 @@ def test_locate_monte_carlo_multinomial():
 def test_measures_match_cell_records():
     part = build_partition(-1, 2.0, 0.8)
     mu = part.measures()
+    centers = part.center_points()
     for k in (0, 5, part.n_cells - 1):
-        assert mu[k] == pytest.approx(part.measure_of(k), rel=1e-15)
-        assert np.allclose(part.center_of(k), part.cells[k].center)
+        xyz, weight = part.grid.point(k)
+        assert mu[k] == pytest.approx(weight, rel=1e-15)
+        assert np.allclose(xyz, centers[k])
+        assert part.locate(xyz) == k
+    # the polar caps are represented by the poles
+    assert np.allclose(part.grid.point(0)[0], [0.0, 0.0, 1.0])
+    assert np.allclose(part.grid.point(part.n_cells - 1)[0], [0.0, 0.0, -1.0])
+    with pytest.raises(ValueError):
+        part.grid.point(part.n_cells)
 
 
 def test_greedy_partition_structure():
