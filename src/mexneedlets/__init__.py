@@ -13,8 +13,8 @@ from .harmonics import (legendre_eval, legendre_table, multiplicity, real_sh_mat
                         sh_index, sphere_eigenvalue)
 from .fields import HarmonicField, evaluate_field, field_to_csv
 from .cubature import CubatureRule, cubature_rule, cubature_to_csv
-from .partition import (ScalePartition, build_partition, greedy_ball_partition,
-                        partition_to_json, rect_diameter)
+from .partition import (GreedyPartition, ScalePartition, build_partition,
+                        greedy_ball_partition, partition_to_json, rect_diameter)
 from .kernels import (KernelProfile, kernel_gaussian_approx, kernel_profile,
                       kernel_series, series_gaussian_max_diff)
 from .frame import (FrameBounds, FrameSpec, analyze, apply_summation, coefficients_to_csv,

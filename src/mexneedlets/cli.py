@@ -53,17 +53,19 @@ def _merge_config(args, defaults):
     """Fill argparse None slots from config file, then documented defaults."""
     config = _read_config(args.config) if getattr(args, "config", None) else {}
     for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in config:
-                raw = config[key]
-                caster = type(fallback) if fallback is not None else str
-                if caster is bool:
-                    raw = raw.lower() in ("1", "true", "yes")
-                    setattr(args, key, raw)
-                else:
-                    setattr(args, key, caster(raw))
-            else:
-                setattr(args, key, fallback)
+        if getattr(args, key, None) is not None:
+            continue
+        if key not in config:
+            setattr(args, key, fallback)
+        elif isinstance(fallback, bool):
+            setattr(args, key, config[key].lower() in ("1", "true", "yes"))
+        else:
+            caster = args.option_types[key] or str
+            try:
+                setattr(args, key, caster(config[key]))
+            except ValueError:
+                raise ValueError("--%s: invalid %s value %r" % (
+                    key.replace("_", "-"), caster.__name__, config[key])) from None
     for key in defaults:
         value = getattr(args, key)
         if isinstance(value, float) and not math.isfinite(value):
@@ -339,6 +341,9 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_needlet_diag)
 
+    # config-file values are cast with the type each subcommand declares
+    for sub in subs.choices.values():
+        sub.set_defaults(option_types={action.dest: action.type for action in sub._actions})
     return parser
 
 

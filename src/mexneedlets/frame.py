@@ -27,7 +27,7 @@ from .daubechies import eigen_daubechies_sum
 from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
 from .harmonics import degree_of_index, n_coeffs, real_sh_matrix, sphere_eigenvalue
-from .partition import build_partition
+from .partition import ScalePartition, build_partition
 
 ADEQUACY_EPS = 1e-6
 
@@ -82,7 +82,7 @@ class FrameSpec:
         self.partitions = dict(sorted(partitions.items()))
         self.j_min = min(self.partitions)
         self.j_max = max(self.partitions)
-        if any(part.grid is None for part in self.partitions.values()):
+        if not all(isinstance(part, ScalePartition) for part in self.partitions.values()):
             raise ValueError("frames need band partitions; greedy partitions are a witness only")
         self._weights = {}
 

@@ -90,8 +90,11 @@ def norm_assoc_legendre(L, cos_theta):
 
     Returns shape (npts, (L+1)(L+2)/2) with column _lm(l, m); the values
     are N_{l,m} P_l^m(cos theta) such that the real harmonics below are
-    orthonormal.  Standard increasing-degree recurrence, stable for the
-    desk-scale degrees used here.
+    orthonormal.  Standard increasing-degree recurrence; at L = 512 (the
+    cubature cap) it matches scipy's sph_harm_y to 1.1e-11 absolute, the
+    worst error sitting at the poles.  Near the poles the seed
+    P_m^m ~ sin^m theta underflows, so whole orders flush to 0 (from m = 175
+    at cos theta = 0.9999, m = 381 at 0.99); scipy returns 0 there too.
     """
     ct = np.atleast_1d(np.asarray(cos_theta, dtype=float))
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, 1.0))

@@ -6,10 +6,10 @@ into equal-area longitude cells whose geodesic diameter is certified
 closed-form to stay below the target d.  Cell areas are analytic, so the
 partition identity sum(mu) = 4 pi holds to rounding.
 
-A greedy maximal-ball construction is kept as a geometric witness: cells
-are recursive set differences of caps, represented as label maps on a
-quadrature grid (no closed-form areas).  It has no sampling grid
-(``grid`` is None) and never enters a frame.
+A greedy maximal-ball construction (``GreedyPartition``) is kept as a
+geometric witness: cells are recursive set differences of caps,
+represented as label maps on a quadrature grid (no closed-form areas).
+It has no sampling grid and never enters a frame.
 """
 
 import json
@@ -64,64 +64,42 @@ def rect_diameter(theta1, theta2, dphi):
 
 
 class ScalePartition:
-    """Disjoint cover of S^2 for one scale; immutable after construction."""
+    """Latitude-band cover of S^2 for one scale; immutable after construction.
 
-    def __init__(self, j, a, b, target, rows=None, greedy=None):
+    ``grid`` holds the cell representatives weighted by the cell areas.
+    The band edges ``theta_edges`` (each row's lower colatitude, then pi)
+    and the certified per-row diameters are the row facts it does not carry.
+    """
+
+    def __init__(self, j, a, b, target, grid, theta_edges, row_diam):
         self.j = j
         self.a = a
         self.b = b
         self.target = target
-        self._rows = rows
-        self._greedy = greedy
-        if rows is not None:
-            self.kind = "bands"
-            self._theta_edges = np.concatenate((rows["theta_lo"], [math.pi]))
-            starts = np.concatenate(([0], np.cumsum(rows["count"])))
-            self._row_start = starts
-            self.n_cells = int(starts[-1])
-            self.grid = BandGrid(
-                theta=rows["theta_c"],
-                phi0=PHI_FRACTION * rows["dphi"],
-                dphi=rows["dphi"],
-                counts=rows["count"],
-                row_weight=rows["cell_area"],
-            )
-        else:
-            self.kind = "greedy"
-            self.n_cells = len(greedy["centers"])
-            self.grid = None
+        self.grid = grid
+        self.n_cells = grid.n_points
+        self._theta_edges = np.asarray(theta_edges, dtype=float)
+        self._row_diam = np.asarray(row_diam, dtype=float)
 
     # -- bulk accessors --------------------------------------------------
 
     def measures(self):
-        if self.kind == "bands":
-            return np.repeat(self._rows["cell_area"], self._rows["count"])
-        return self._greedy["measures"].copy()
+        return self.grid.point_weights()
 
     def diameter_bounds(self):
-        if self.kind == "bands":
-            return np.repeat(self._rows["diam"], self._rows["count"])
-        return np.full(self.n_cells, self._greedy["diameter_bound"])
+        return np.repeat(self._row_diam, self.grid.counts)
 
     def center_points(self):
-        if self.kind == "bands":
-            return self.grid.points()
-        return self._greedy["centers"].copy()
+        return self.grid.points()
 
     def sum_measure(self):
-        if self.kind == "bands":
-            return float(np.dot(self._rows["cell_area"], self._rows["count"]))
-        return float(np.sum(self._greedy["measures"]))
+        return float(np.dot(self.grid.row_weight, self.grid.counts))
 
     def max_diameter_bound(self):
-        if self.kind == "bands":
-            return float(np.max(self._rows["diam"]))
-        return self._greedy["diameter_bound"]
+        return float(np.max(self._row_diam))
 
     def min_measure(self):
-        if self.kind == "bands":
-            return float(np.min(self._rows["cell_area"]))
-        return float(np.min(self._greedy["measures"]))
+        return float(np.min(self.grid.row_weight))
 
     def achieved_c0(self):
         """min_k mu(E_k) / target^2, the measured measure-condition constant."""
@@ -132,19 +110,18 @@ class ScalePartition:
     def locate(self, xyz):
         """Index of the unique cell containing ``xyz`` (half-open boundaries)."""
         xyz = np.asarray(xyz, dtype=float)
-        if self.kind == "greedy":
-            return _greedy_locate(self._greedy, xyz)
         theta = math.acos(min(1.0, max(-1.0, xyz[2])))
         phi = math.atan2(xyz[1], xyz[0]) % (2.0 * math.pi)
         row = int(np.searchsorted(self._theta_edges, theta, side="right")) - 1
-        row = min(max(row, 0), len(self._rows["theta_lo"]) - 1)
-        m = int(self._rows["count"][row])
-        kphi = int(phi // self._rows["dphi"][row]) % m
-        return int(self._row_start[row] + kphi)
+        row = min(max(row, 0), self.grid.n_rows - 1)
+        kphi = int(phi // self.grid.dphi[row]) % int(self.grid.counts[row])
+        return int(self.grid.offsets[row] + kphi)
 
 
 def build_partition(j, a, b):
     """Deterministic latitude-band partition with target diameter b a^j."""
+    if not math.isfinite(a):
+        raise ValueError("dilation a must be finite, got %r" % (a,))
     if a <= 1:
         raise ValueError("dilation a must be > 1")
     if not 0 < b <= 1:
@@ -153,49 +130,29 @@ def build_partition(j, a, b):
     if d < DESK_SCALE_MIN_DIAMETER:
         raise CellCountOverflowError(
             "target diameter %.3g below desk-scale guard %g" % (d, DESK_SCALE_MIN_DIAMETER))
+    # rows (theta_lo, theta_c, count, dphi, cell area, certified diameter);
+    # a polar cap is one cell represented by its pole
     if d >= math.pi:
-        rows = _rows_struct(1)
-        _set_row(rows, 0, 0.0, math.pi, 1, 0.0, 4.0 * math.pi, math.pi, True)
-        return ScalePartition(j, a, b, d, rows=rows)
-
-    r_cap = d / 2.0
-    n_bands = max(1, int(math.ceil((math.pi - 2.0 * r_cap) / (d / math.sqrt(2.0)))))
-    h = (math.pi - 2.0 * r_cap) / n_bands
-    rows = _rows_struct(n_bands + 2)
-    cap_area = 2.0 * math.pi * (1.0 - math.cos(r_cap))
-    _set_row(rows, 0, 0.0, r_cap, 1, 0.0, cap_area, 2.0 * r_cap, True)
-    for i in range(n_bands):
-        lo = r_cap + i * h
-        hi = lo + h
-        m = _longitude_count(lo, hi, d)
-        dphi = 2.0 * math.pi / m
-        area = dphi * (math.cos(lo) - math.cos(hi))
-        _set_row(rows, i + 1, lo, hi, m, dphi, area, rect_diameter(lo, hi, dphi), False)
-    _set_row(rows, n_bands + 1, math.pi - r_cap, math.pi, 1, 0.0, cap_area, 2.0 * r_cap, True)
-    return ScalePartition(j, a, b, d, rows=rows)
-
-
-def _rows_struct(n):
-    return {
-        "theta_lo": np.zeros(n), "theta_hi": np.zeros(n), "count": np.zeros(n, dtype=np.int64),
-        "dphi": np.zeros(n), "cell_area": np.zeros(n), "diam": np.zeros(n),
-        "theta_c": np.zeros(n), "is_cap": np.zeros(n, dtype=bool),
-    }
-
-
-def _set_row(rows, i, lo, hi, m, dphi, area, diam, is_cap):
-    rows["theta_lo"][i] = lo
-    rows["theta_hi"][i] = hi
-    rows["count"][i] = m
-    rows["dphi"][i] = dphi if dphi else 2.0 * math.pi
-    rows["cell_area"][i] = area
-    rows["diam"][i] = diam
-    rows["is_cap"][i] = is_cap
-    if is_cap:
-        rows["theta_c"][i] = 0.0 if lo == 0.0 else math.pi
+        rows = [(0.0, 0.0, 1, 2.0 * math.pi, 4.0 * math.pi, math.pi)]
     else:
-        ct = math.cos(lo) + THETA_FRACTION * (math.cos(hi) - math.cos(lo))
-        rows["theta_c"][i] = math.acos(min(1.0, max(-1.0, ct)))
+        r_cap = d / 2.0
+        n_bands = max(1, int(math.ceil((math.pi - 2.0 * r_cap) / (d / math.sqrt(2.0)))))
+        h = (math.pi - 2.0 * r_cap) / n_bands
+        cap_area = 2.0 * math.pi * (1.0 - math.cos(r_cap))
+        rows = [(0.0, 0.0, 1, 2.0 * math.pi, cap_area, 2.0 * r_cap)]
+        for i in range(n_bands):
+            lo = r_cap + i * h
+            hi = lo + h
+            m = _longitude_count(lo, hi, d)
+            dphi = 2.0 * math.pi / m
+            ct = math.cos(lo) + THETA_FRACTION * (math.cos(hi) - math.cos(lo))
+            rows.append((lo, math.acos(min(1.0, max(-1.0, ct))), m, dphi,
+                         dphi * (math.cos(lo) - math.cos(hi)), rect_diameter(lo, hi, dphi)))
+        rows.append((math.pi - r_cap, math.pi, 1, 2.0 * math.pi, cap_area, 2.0 * r_cap))
+    theta_lo, theta_c, counts, dphi, area, diam = (np.array(col) for col in zip(*rows))
+    grid = BandGrid(theta=theta_c, phi0=PHI_FRACTION * dphi, dphi=dphi, counts=counts,
+                    row_weight=area)
+    return ScalePartition(j, a, b, d, grid, np.append(theta_lo, math.pi), diam)
 
 
 def _longitude_count(lo, hi, d):
@@ -251,28 +208,18 @@ def greedy_ball_partition(t, candidates=2000, grid_theta=512):
     x, w = np.polynomial.legendre.leggauss(grid_theta)
     n_phi = 2 * grid_theta
     theta = np.arccos(x)
-    grid = BandGrid(
+    label_grid = BandGrid(
         theta=theta,
         phi0=np.zeros(grid_theta),
         dphi=np.full(grid_theta, 2.0 * math.pi / n_phi),
         counts=np.full(grid_theta, n_phi, dtype=np.int64),
         row_weight=w * (2.0 * math.pi / n_phi),
     )
-    labels = np.empty(grid.n_points, dtype=np.int64)
-    for sl, xyz in grid.block_iter():
+    labels = np.empty(label_grid.n_points, dtype=np.int64)
+    for sl, xyz in label_grid.block_iter():
         labels[sl] = _greedy_label_block(centers, t, xyz)
-    weights = grid.point_weights()
-    measures = np.bincount(labels, weights=weights, minlength=len(centers))
-
-    greedy = {
-        "centers": centers,
-        "t": t,
-        "measures": measures,
-        "diameter_bound": min(4.0 * t, math.pi),
-        "grid": grid,
-        "labels": labels,
-    }
-    return ScalePartition(j=None, a=None, b=None, target=min(4.0 * t, math.pi), greedy=greedy)
+    measures = np.bincount(labels, weights=label_grid.point_weights(), minlength=len(centers))
+    return GreedyPartition(t, centers, measures, label_grid, labels)
 
 
 def _greedy_label_block(centers, t, xyz):
@@ -293,8 +240,48 @@ def _greedy_label_block(centers, t, xyz):
     return labels
 
 
-def _greedy_locate(greedy, xyz):
-    return int(_greedy_label_block(greedy["centers"], greedy["t"], xyz[None, :])[0])
+class GreedyPartition:
+    """Greedy maximal-ball cells: ball centers plus labels on a quadrature grid.
+
+    A geometric witness only: it belongs to no scale (``j``, ``a``, ``b``
+    are None), has no sampling grid, and ``FrameSpec`` rejects it.  Every
+    cell lies in B(y_k, 2t), so each diameter is bounded by min(4t, pi).
+    """
+
+    j = a = b = None
+
+    def __init__(self, t, centers, cell_measures, label_grid, labels):
+        self.t = t
+        self.centers = centers
+        self.cell_measures = cell_measures
+        self.label_grid = label_grid
+        self.labels = labels
+        self.n_cells = len(centers)
+        self.target = min(4.0 * t, math.pi)
+
+    def measures(self):
+        return self.cell_measures.copy()
+
+    def diameter_bounds(self):
+        return np.full(self.n_cells, self.target)
+
+    def center_points(self):
+        return self.centers.copy()
+
+    def sum_measure(self):
+        return float(np.sum(self.cell_measures))
+
+    def max_diameter_bound(self):
+        return self.target
+
+    def achieved_c0(self):
+        """min_k mu(E_k) / target^2, the measured measure-condition constant."""
+        return float(np.min(self.cell_measures)) / self.target ** 2
+
+    def locate(self, xyz):
+        """Label of ``xyz`` under the recursive cell construction."""
+        xyz = np.asarray(xyz, dtype=float)
+        return int(_greedy_label_block(self.centers, self.t, xyz[None, :])[0])
 
 
 def partition_to_json(partition, path=None):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .harmonics import _lm, n_coeffs, norm_assoc_legendre, sph_to_xyz
+from .harmonics import n_coeffs, norm_assoc_legendre, sph_to_xyz
 
 _TARGET_CHUNK_FLOATS = 3_000_000
 
@@ -35,7 +35,6 @@ class BandGrid:
         self.n_points = int(self.offsets[-1])
         self.n_rows = len(self.theta)
         self._plm_cache = {}
-        self._col_cache = {}
 
     # -- cached tables -------------------------------------------------
 
@@ -43,14 +42,6 @@ class BandGrid:
         if L not in self._plm_cache:
             self._plm_cache[L] = norm_assoc_legendre(L, np.cos(self.theta))
         return self._plm_cache[L]
-
-    def _cols(self, L):
-        if L not in self._col_cache:
-            self._col_cache[L] = [
-                np.array([_lm(l, m) for l in range(m, L + 1)], dtype=int)
-                for m in range(L + 1)
-            ]
-        return self._col_cache[L]
 
     # -- helpers ---------------------------------------------------------
 
@@ -106,18 +97,18 @@ class BandGrid:
     def _fold(self, coeffs, L):
         """Per-row longitude-Fourier coefficients of the expansion."""
         plm = self._plm(L)
-        cols = self._cols(L)
         A = np.zeros((self.n_rows, L + 1))
         B = np.zeros((self.n_rows, L + 1))
         root2 = math.sqrt(2.0)
         for m in range(L + 1):
             ls = np.arange(m, L + 1)
             base = ls * ls + ls
+            plm_m = plm[:, base // 2 + m]  # columns _lm(l, m), l = m..L
             if m == 0:
-                A[:, 0] = plm[:, cols[0]] @ coeffs[base]
+                A[:, 0] = plm_m @ coeffs[base]
             else:
-                A[:, m] = plm[:, cols[m]] @ (root2 * coeffs[base + m])
-                B[:, m] = plm[:, cols[m]] @ (root2 * coeffs[base - m])
+                A[:, m] = plm_m @ (root2 * coeffs[base + m])
+                B[:, m] = plm_m @ (root2 * coeffs[base - m])
         return A, B
 
     def synthesis(self, coeffs):
@@ -164,16 +155,16 @@ class BandGrid:
                 alpha[rows, m] += np.add.reduceat(v * zpow.real, starts)
                 beta[rows, m] += np.add.reduceat(v * zpow.imag, starts)
         plm = self._plm(L)
-        cols = self._cols(L)
         out = np.zeros(n_coeffs(L))
         root2 = math.sqrt(2.0)
         for m in range(L + 1):
             ls = np.arange(m, L + 1)
             base = ls * ls + ls
+            plm_m = plm[:, base // 2 + m]  # columns _lm(l, m), l = m..L
             if m == 0:
-                out[base] = plm[:, cols[0]].T @ alpha[:, 0]
+                out[base] = plm_m.T @ alpha[:, 0]
             else:
-                out[base + m] = root2 * (plm[:, cols[m]].T @ alpha[:, m])
-                out[base - m] = root2 * (plm[:, cols[m]].T @ beta[:, m])
+                out[base + m] = root2 * (plm_m.T @ alpha[:, m])
+                out[base - m] = root2 * (plm_m.T @ beta[:, m])
         return out
 

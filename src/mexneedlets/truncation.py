@@ -154,6 +154,10 @@ class GeodesicCap:
     center: np.ndarray
     radius: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and np.all(np.isfinite(self.center))):
+            raise ValueError("cap center and radius must be finite")
+
     @property
     def area(self):
         return 2.0 * math.pi * (1.0 - math.cos(self.radius))

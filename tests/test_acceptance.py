@@ -195,7 +195,7 @@ def test_criterion_9_partition_axioms():
     greedy = greedy_ball_partition(t, candidates=2000, grid_theta=256)
     assert abs(greedy.sum_measure() - 4 * math.pi) <= 1e-3 * 4 * math.pi
     assert greedy.max_diameter_bound() <= 4 * t
-    centers = greedy._greedy["centers"]
+    centers = greedy.centers
     dist = geodesic_distance(centers[:, None, :], centers[None, :, :])
     np.fill_diagonal(dist, math.inf)
     assert np.min(dist) >= 2 * t  # disjoint inner balls

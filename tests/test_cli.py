@@ -180,3 +180,21 @@ def test_truncation_and_spatial_and_diag(tmp_path):
     assert run(["needlet-diag", "--N", "4,8", "--l-max", "16", "--out", str(outd)]) == 0
     doc = json.loads(outd.read_text())
     assert doc["records"][0]["eps3"] > doc["records"][1]["eps3"]
+
+
+def test_config_values_take_the_declared_type(tmp_path, capsys):
+    argv = ["truncation", "--j-min", "-16", "--j-max", "4", "--M", "14", "--N", "2",
+            "--trials", "2", "--calibrate", "1"]
+    flag, from_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert run(argv + ["--L", "2.5", "--out", str(flag)]) == 0
+    config = tmp_path / "level.cfg"
+    config.write_text("L = 2.5\n")
+    assert run(argv + ["--config", str(config), "--out", str(from_config)]) == 0
+    assert from_config.read_bytes() == flag.read_bytes()
+    capsys.readouterr()
+
+    config.write_text("L = abc\n")
+    assert run(argv + ["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--L" in captured.err

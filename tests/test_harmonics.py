@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mexneedlets import legendre_eval, legendre_table, multiplicity, real_sh_matrix, sphere_eigenvalue
-from mexneedlets.harmonics import geodesic_distance, n_coeffs, sh_index, sph_to_xyz
+from mexneedlets.harmonics import (geodesic_distance, n_coeffs, norm_assoc_legendre, sh_index,
+                                   sph_to_xyz)
 
 
 def exact_legendre_coefficients(L):
@@ -102,3 +103,19 @@ def test_geodesic_distance():
     n = np.array([0.0, 0.0, 1.0])
     assert geodesic_distance(n, -n) == pytest.approx(math.pi, rel=1e-12)
     assert geodesic_distance(n, np.array([1.0, 0.0, 0.0])) == pytest.approx(math.pi / 2, rel=1e-12)
+
+
+def test_assoc_legendre_stable_to_cubature_cap():
+    from scipy.special import sph_harm_y_all
+
+    L = 512
+    ct = np.array([-1.0, -0.5, 0.0, 0.5, 0.9999, 1.0])
+    table = norm_assoc_legendre(L, ct)
+    # the table carries no Condon-Shortley phase: N P_l^m = (-1)^m Re Y_l^m(theta, 0)
+    l, m = np.tril_indices(L + 1)
+    ref = (-1.0) ** m[:, None] * sph_harm_y_all(L, L, np.arccos(ct), 0.0)[l, m].real
+    assert np.max(np.abs(table - ref.T)) <= 1e-10
+    # near the pole P_m^m ~ sin^m theta underflows; both sides flush to 0 together
+    pole = np.flatnonzero(ct == 0.9999)[0]
+    assert np.any(table[pole] == 0.0)
+    assert np.array_equal(table[pole] == 0.0, ref[:, pole] == 0.0)

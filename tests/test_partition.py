@@ -74,6 +74,12 @@ def test_desk_scale_guard():
         build_partition(0, 2.0, 1.5)
 
 
+def test_non_finite_dilation_is_rejected():
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build_partition(0, a, 0.5)
+
+
 def test_locate_returns_containing_cell():
     part = build_partition(0, 2.0, 0.6)
     for k in (0, 3, part.n_cells // 2, part.n_cells - 1):
@@ -118,8 +124,7 @@ def test_greedy_partition_structure():
     assert part.sum_measure() == pytest.approx(4 * math.pi, rel=1e-3)
     assert part.max_diameter_bound() <= 4 * t
 
-    g = part._greedy
-    centers = g["centers"]
+    centers = part.centers
     # chosen balls are pairwise disjoint
     dist = geodesic_distance(centers[:, None, :], centers[None, :, :])
     np.fill_diagonal(dist, math.inf)
@@ -132,9 +137,8 @@ def test_greedy_partition_structure():
     assert np.max(cover) < 2 * t
 
     # inner ball inside own cell, cell inside doubled ball (checked on grid)
-    grid = g["grid"]
-    labels = g["labels"]
-    nodes = grid.points()
+    labels = part.labels
+    nodes = part.label_grid.points()
     d_all = geodesic_distance(nodes[:, None, :], centers[None, :, :])
     inner = d_all < t
     has_inner = inner.any(axis=1)
@@ -150,10 +154,9 @@ def test_greedy_locate_consistent_with_labels():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((50, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    g = part._greedy
     from mexneedlets.partition import _greedy_label_block
     for x in pts:
-        assert part.locate(x) == _greedy_label_block(g["centers"], g["t"], x[None, :])[0]
+        assert part.locate(x) == _greedy_label_block(part.centers, part.t, x[None, :])[0]
 
 
 def test_partition_json_schema(tmp_path):

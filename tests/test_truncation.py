@@ -219,3 +219,10 @@ def test_off_cap_energy_exact_off_pole(spatial_spec):
     _, inside = cap_energy_split(spatial_spec, F, GeodesicCap(-center, math.pi - 1.0))
     assert outside > 0.0 and inside > 0.0
     assert outside + inside == pytest.approx(F.norm() ** 2, abs=1e-13)
+
+
+def test_cap_rejects_non_finite_parameters():
+    for center, radius in ((NORTH, math.nan), (NORTH, math.inf),
+                           (np.array([0.0, math.nan, 1.0]), 0.5)):
+        with pytest.raises(ValueError):
+            GeodesicCap(center=center, radius=radius)
