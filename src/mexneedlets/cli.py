@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: daubechies, kernel-profile, partition, frame-verify,
-truncation, spatial, needlet-diag.  A key = value config file can supply
-any long option; explicit flags win.  Exit codes: 0 success, 2 bad
-parameters/usage, 3 verification failure.
+truncation, spatial, needlet-diag.  A key = value config file supplies
+long options: its values are parsed as flags placed before the command
+line's own, so they get the same checks and explicit flags win.  Exit
+codes: 0 success, 2 bad parameters/usage, 3 verification failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -33,6 +35,8 @@ EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
 _MAX_EXPORT_CELLS = 1_000_000
+_A_THIRD = 2.0 ** (1.0 / 3.0)
+_MEXICAN = "mexican:r=1"
 
 
 def _read_config(path):
@@ -49,28 +53,42 @@ def _read_config(path):
     return values
 
 
-def _merge_config(args, defaults):
-    """Fill argparse None slots from config file, then documented defaults."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key not in config:
-            setattr(args, key, fallback)
-        elif isinstance(fallback, bool):
-            setattr(args, key, config[key].lower() in ("1", "true", "yes"))
-        else:
-            caster = args.option_types[key] or str
-            try:
-                setattr(args, key, caster(config[key]))
-            except ValueError:
-                raise ValueError("--%s: invalid %s value %r" % (
-                    key.replace("_", "-"), caster.__name__, config[key])) from None
-    for key in defaults:
-        value = getattr(args, key)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError("--%s must be finite, got %r" % (key.replace("_", "-"), value))
-    return args
+def _config_argv(subparser, path):
+    """The config file's values as flags of ``subparser``.
+
+    Keys it has no option for are skipped, so one file can serve several subcommands.
+    """
+    options = {action.dest: action for action in subparser._actions if action.option_strings}
+    argv = []
+    for key, value in _read_config(path).items():
+        action = options.get(key)
+        if action is not None and action.nargs != 0:
+            argv.append("%s=%s" % (action.option_strings[-1], value))
+        elif action is not None and value.lower() in ("1", "true", "yes"):
+            argv.append(action.option_strings[-1])  # a flag option, such as --greedy
+    return argv
+
+
+def _check_finite(args):
+    for key, value in vars(args).items():
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError("--%s must be finite, got %r" % (key.replace("_", "-"), x))
+
+
+def _count(text):
+    """Option type of the counts (trials, calibration fields, doublings, candidates)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError("invalid non-negative integer value: %r" % text)
+    return int(text)
+
+
+def _float_list(text):
+    """Option type of a comma-separated list of numbers."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float list: %r" % text) from None
 
 
 def _dump_json(doc, path):
@@ -88,30 +106,25 @@ def _build_spec(args):
     if args.j_min is not None or args.j_max is not None:
         if args.j_min is None or args.j_max is None:
             raise ValueError("give both j-min and j-max or neither")
-        j_range = (int(args.j_min), int(args.j_max))
-    return FrameSpec.build(filt, args.a, args.b, int(args.l_max), j_range=j_range)
+        j_range = (args.j_min, args.j_max)
+    return FrameSpec.build(filt, args.a, args.b, args.l_max, j_range=j_range)
 
 
 def cmd_daubechies(args):
-    _merge_config(args, {"a": 2.0 ** (1.0 / 3.0), "filter": "mexican:r=1",
-                         "grid_points": 256, "out": None})
     filt = parse_filter(args.filter)
-    bounds = daubechies_bounds(filt, args.a, grid_points=int(args.grid_points))
+    bounds = daubechies_bounds(filt, args.a, grid_points=args.grid_points)
     print("A = %.10g" % bounds.A)
     print("B = %.10g" % bounds.B)
     print("B/A = %.10g" % bounds.ratio)
     print("reference c/log-period = %.10g" % bounds.reference_level)
     if args.out:
-        _dump_json(bounds.as_dict(), args.out)
+        _dump_json(dataclasses.asdict(bounds), args.out)
     return EXIT_OK
 
 
 def cmd_kernel_profile(args):
-    _merge_config(args, {"t": 0.1, "filter": "mexican:r=1", "method": "auto",
-                         "n": 1001, "convention": "laplacian", "tol": 1e-8,
-                         "out": None})
     filt = parse_filter(args.filter)
-    prof = kernel_profile(filt, args.t, int(args.n), method=args.method,
+    prof = kernel_profile(filt, args.t, args.n, method=args.method,
                           tol=args.tol, convention=args.convention)
     if args.out:
         prof.to_csv(args.out)
@@ -124,20 +137,17 @@ def cmd_kernel_profile(args):
 
 
 def cmd_partition(args):
-    _merge_config(args, {"j": 0, "a": 2.0 ** (1.0 / 3.0), "b": 0.5,
-                         "greedy": False, "t": math.pi / 4, "candidates": 2000,
-                         "cubature_degree": None, "out": None})
     if args.cubature_degree is not None:
-        rule = cubature_rule(int(args.cubature_degree))
+        rule = cubature_rule(args.cubature_degree)
         if args.out:
             cubature_to_csv(rule, args.out)
         print("cubature degree=%d nodes=%d weight-sum=%.12g"
               % (rule.degree, rule.n_nodes, float(np.sum(rule.weights))))
         return EXIT_OK
     if args.greedy:
-        part = greedy_ball_partition(args.t, candidates=int(args.candidates))
+        part = greedy_ball_partition(args.t, candidates=args.candidates)
     else:
-        part = build_partition(int(args.j), args.a, args.b)
+        part = build_partition(args.j, args.a, args.b)
     print("cells=%d sum-measure=%.12g max-diameter=%.6g achieved-c0=%.6g"
           % (part.n_cells, part.sum_measure(), part.max_diameter_bound(),
              part.achieved_c0()))
@@ -149,62 +159,51 @@ def cmd_partition(args):
 
 
 def cmd_frame_verify(args):
-    _merge_config(args, {"a": 2.0 ** (1.0 / 3.0), "b": 0.5, "filter": None,
-                         "l_max": 16, "trials": 20, "seed": 0, "j_min": None,
-                         "j_max": None, "mode": "partition", "out": None})
     if args.filter is None:
-        args.filter = "normalized_cutoff" if args.mode == "needlet" else "mexican:r=1"
+        args.filter = "normalized_cutoff" if args.mode == "needlet" else _MEXICAN
     if args.mode == "needlet":
-        filt = parse_filter(args.filter)
         j_lo = args.j_min if args.j_min is not None else -int(math.ceil(math.log2(max(args.l_max, 2))))
         j_hi = args.j_max if args.j_max is not None else 0
-        frame = build_needlet_frame(filt, int(j_lo), int(j_hi))
-        fb = empirical_frame_bounds(frame, int(args.trials), seed=int(args.seed))
-        doc = {"A_emp": fb.lower, "B_emp": fb.upper, "ratio": fb.ratio, "A_theory": 1.0,
-               "B_theory": 1.0, "mode": "needlet"}
+        frame = build_needlet_frame(parse_filter(args.filter), j_lo, j_hi)
+        doc = {"A_theory": 1.0, "B_theory": 1.0, "mode": "needlet"}
     else:
-        spec = _build_spec(args)
-        bounds = daubechies_bounds(spec.filter, spec.a)
-        fb = empirical_frame_bounds(spec, int(args.trials), seed=int(args.seed))
-        doc = {"A_emp": fb.lower, "B_emp": fb.upper, "ratio": fb.ratio,
-               "A_theory": bounds.A, "B_theory": bounds.B, "mode": "partition",
-               "j_min": spec.j_min, "j_max": spec.j_max, "L_max": spec.L_max,
-               "trials": int(args.trials), "seed": int(args.seed)}
-    print("A_emp=%.10g B_emp=%.10g ratio=%.10g" % (doc["A_emp"], doc["B_emp"], doc["ratio"]))
+        frame = _build_spec(args)
+        bounds = daubechies_bounds(frame.filter, frame.a)
+        doc = {"A_theory": bounds.A, "B_theory": bounds.B, "mode": "partition",
+               "j_min": frame.j_min, "j_max": frame.j_max, "L_max": frame.L_max,
+               "trials": args.trials, "seed": args.seed}
+    fb = empirical_frame_bounds(frame, args.trials, seed=args.seed)
+    doc.update(A_emp=fb.lower, B_emp=fb.upper, ratio=fb.ratio)
+    print("A_emp=%.10g B_emp=%.10g ratio=%.10g" % (fb.lower, fb.upper, fb.ratio))
     if args.out:
         _dump_json(doc, args.out)
-    if doc["A_emp"] <= 0.0:
+    if fb.lower <= 0.0:
         print("frame verification failed: lower bound is not positive", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
 
 def cmd_truncation(args):
-    _merge_config(args, {"a": 2.0 ** (1.0 / 3.0), "b": 0.9, "filter": "mexican:r=1",
-                         "l_max": 2, "j_min": -24, "j_max": 6, "M": 22, "N": 4,
-                         "J": 1, "L": None, "seed": 0, "trials": 3, "calibrate": 2,
-                         "out": None})
     spec = _build_spec(args)
     level = args.L if args.L is not None else float(spec.L_max * (spec.L_max + 1))
-    rng = np.random.default_rng(int(args.seed))
+    rng = np.random.default_rng(args.seed)
     bounds = daubechies_bounds(spec.filter, spec.a)
     fields = [HarmonicField.random_mean_zero(spec.L_max, rng)
-              for _ in range(int(args.trials) + int(args.calibrate))]
-    calib, held_out = fields[: int(args.calibrate)], fields[int(args.calibrate):]
-    c0_est = fit_riemann_constant(spec, calib, int(args.M), int(args.N), J=int(args.J),
+              for _ in range(args.trials + args.calibrate)]
+    calib, held_out = fields[:args.calibrate], fields[args.calibrate:]
+    c0_est = fit_riemann_constant(spec, calib, args.M, args.N, J=args.J,
                                   bounds=bounds) if calib else 0.0
     reports = []
     for f in held_out:
-        rep = frequency_bound(spec, spec.filter.vanishing_order, int(args.J), level,
-                              int(args.M), int(args.N), spectral_tail_norm(f, level),
-                              f.norm(), bounds=bounds)
-        rep.measured_error = measured_truncation_error(spec, f, int(args.M), int(args.N))
-        reports.append(rep.as_dict())
+        rep = frequency_bound(spec, spec.filter.vanishing_order, args.J, level, args.M, args.N,
+                              spectral_tail_norm(f, level), f.norm(), bounds=bounds)
+        rep.measured_error = measured_truncation_error(spec, f, args.M, args.N)
+        reports.append(dataclasses.asdict(rep))
     doc = {
         "reports": reports,
-        "window_margin": window_margin(spec, int(args.M), int(args.N)),
+        "window_margin": window_margin(spec, args.M, args.N),
         "C0_est": c0_est,
-        "seed": int(args.seed),
+        "seed": args.seed,
         "L_max": spec.L_max,
         "j_range": [spec.j_min, spec.j_max],
         "b": spec.b,
@@ -218,30 +217,25 @@ def cmd_truncation(args):
 
 
 def cmd_spatial(args):
-    _merge_config(args, {"a": 2.0 ** (1.0 / 3.0), "b": 0.4, "filter": "mexican:r=1",
-                         "l_max": 8, "j_min": -13, "j_max": 2, "cap_radius": 0.6,
-                         "c": 0.5, "i_decay": 3.0, "doublings": 3, "seed": 0,
-                         "out": None})
     spec = _build_spec(args)
-    cap = GeodesicCap(center=np.array([0.0, 0.0, 1.0]), radius=float(args.cap_radius))
+    cap = GeodesicCap(center=np.array([0.0, 0.0, 1.0]), radius=args.cap_radius)
     # cap-localized test field: heat-type bell at the cap center
     coeffs = np.zeros((spec.L_max + 1) ** 2)
     for l in range(1, spec.L_max + 1):
         coeffs[l * l + l] = math.exp(-l * (l + 1) * 0.02) * math.sqrt(2 * l + 1)
     field = HarmonicField(coeffs / np.linalg.norm(coeffs))
-    fb = empirical_frame_bounds(spec, trials=20, seed=int(args.seed))
+    fb = empirical_frame_bounds(spec, trials=20, seed=args.seed)
     sweep = []
-    c = float(args.c)
-    for _ in range(int(args.doublings) + 1):
-        rep = spatial_truncation_report(spec, field, cap, c, float(args.i_decay),
-                                        b_emp=fb.upper)
-        rec = rep.as_dict()
+    c = args.c
+    for _ in range(args.doublings + 1):
+        rep = spatial_truncation_report(spec, field, cap, c, args.i_decay, b_emp=fb.upper)
+        rec = dataclasses.asdict(rep)
         rec["c"] = c
         rec["dropped_norm_sq"] = rep.measured ** 2
         sweep.append(rec)
         c *= 2.0
-    doc = {"B_emp": fb.upper, "cap_radius": float(args.cap_radius), "sweep": sweep,
-           "seed": int(args.seed), "L_max": spec.L_max,
+    doc = {"B_emp": fb.upper, "cap_radius": args.cap_radius, "sweep": sweep,
+           "seed": args.seed, "L_max": spec.L_max,
            "j_range": [spec.j_min, spec.j_max]}
     for rec in sweep:
         print("c=%-8g dropped-form=%.6g measured=%.6g structural=%.6g"
@@ -253,10 +247,7 @@ def cmd_spatial(args):
 
 
 def cmd_needlet_diag(args):
-    _merge_config(args, {"N": "4,8,12", "a": 2.0 ** (1.0 / 3.0), "l_max": 32,
-                         "out": None})
-    records = [hybrid_tail_diagnostics(float(nn), args.a, int(args.l_max))
-               for nn in str(args.N).split(",")]
+    records = [hybrid_tail_diagnostics(nn, args.a, args.l_max) for nn in args.N]
     for rec in records:
         print("N=%-4g eps3=%.6g eps4=%.6g eps3/(e^-N N)=%.4g eps4/(e^-N N^5)=%.4g"
               % (rec["N"], rec["eps3"], rec["eps4"], rec["eps3_ratio"], rec["eps4_ratio"]))
@@ -265,94 +256,63 @@ def cmd_needlet_diag(args):
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value file supplying defaults")
-    sub.add_argument("--out", help="output file path")
+def _frame_options(b, l_max, j_min, j_max, filt=_MEXICAN):
+    return dict(a=(float, _A_THIRD), b=(float, b), filter=(str, filt), l_max=(int, l_max),
+                j_min=(int, j_min), j_max=(int, j_max))
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="mexneedlets",
+    parser = argparse.ArgumentParser(prog="mexneedlets", exit_on_error=False,
                                      description="Nearly tight wavelet frames on the sphere")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("daubechies", help="ladder-sum frame bound constants")
-    p.add_argument("--a", type=float)
-    p.add_argument("--filter")
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_daubechies)
+    def subcommand(name, func, help, **options):
+        """A subparser with --config, --out and an --NAME option per NAME=(type, default)."""
+        sub = subs.add_parser(name, help=help, exit_on_error=False)
+        sub.add_argument("--config", help="key = value file supplying defaults")
+        sub.add_argument("--out", help="output file path")
+        for key, (typ, default) in options.items():
+            sub.add_argument("--" + key.replace("_", "-"), type=typ, default=default)
+        sub.set_defaults(func=func, subparser=sub)
+        return sub
 
-    p = subs.add_parser("kernel-profile", help="kernel profile over theta, CSV export")
-    p.add_argument("--t", type=float)
-    p.add_argument("--filter")
-    p.add_argument("--method", choices=["series", "gaussian", "auto"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--convention", choices=["laplacian", "degree"])
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_kernel_profile)
-
-    p = subs.add_parser("partition", help="build a partition or cubature rule")
-    p.add_argument("--j", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--greedy", action="store_const", const=True)
-    p.add_argument("--t", type=float)
-    p.add_argument("--candidates", type=int)
-    p.add_argument("--cubature-degree", dest="cubature_degree", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_partition)
-
-    p = subs.add_parser("frame-verify", help="empirical frame bounds")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--filter")
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--j-min", dest="j_min", type=int)
-    p.add_argument("--j-max", dest="j_max", type=int)
-    p.add_argument("--mode", choices=["partition", "needlet"])
-    _add_common(p)
-    p.set_defaults(func=cmd_frame_verify)
-
-    p = subs.add_parser("truncation", help="frequency truncation report")
-    for name, typ in (("a", float), ("b", float), ("l-max", int), ("j-min", int),
-                      ("j-max", int), ("M", int), ("N", int), ("J", int), ("L", float),
-                      ("seed", int), ("trials", int), ("calibrate", int)):
-        p.add_argument("--" + name, dest=name.replace("-", "_"), type=typ)
-    p.add_argument("--filter")
-    _add_common(p)
-    p.set_defaults(func=cmd_truncation)
-
-    p = subs.add_parser("spatial", help="spatial truncation sweep")
-    for name, typ in (("a", float), ("b", float), ("l-max", int), ("j-min", int),
-                      ("j-max", int), ("cap-radius", float), ("c", float),
-                      ("i-decay", float), ("doublings", int), ("seed", int)):
-        p.add_argument("--" + name, dest=name.replace("-", "_"), type=typ)
-    p.add_argument("--filter")
-    _add_common(p)
-    p.set_defaults(func=cmd_spatial)
-
-    p = subs.add_parser("needlet-diag", help="hybrid tail diagnostics")
-    p.add_argument("--N", dest="N")
-    p.add_argument("--a", type=float)
-    p.add_argument("--l-max", dest="l_max", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_needlet_diag)
-
-    # config-file values are cast with the type each subcommand declares
-    for sub in subs.choices.values():
-        sub.set_defaults(option_types={action.dest: action.type for action in sub._actions})
+    subcommand("daubechies", cmd_daubechies, "ladder-sum frame bound constants",
+               a=(float, _A_THIRD), filter=(str, _MEXICAN), grid_points=(int, 256))
+    p = subcommand("kernel-profile", cmd_kernel_profile, "kernel profile over theta, CSV export",
+                   t=(float, 0.1), filter=(str, _MEXICAN), n=(int, 1001), tol=(float, 1e-8))
+    p.add_argument("--method", choices=["series", "gaussian", "auto"], default="auto")
+    p.add_argument("--convention", choices=["laplacian", "degree"], default="laplacian")
+    p = subcommand("partition", cmd_partition, "build a partition or cubature rule",
+                   j=(int, 0), a=(float, _A_THIRD), b=(float, 0.5), t=(float, math.pi / 4),
+                   candidates=(_count, 2000), cubature_degree=(int, None))
+    p.add_argument("--greedy", action="store_true")
+    p = subcommand("frame-verify", cmd_frame_verify, "empirical frame bounds",
+                   **_frame_options(0.5, 16, None, None, filt=None),
+                   trials=(_count, 20), seed=(int, 0))
+    p.add_argument("--mode", choices=["partition", "needlet"], default="partition")
+    subcommand("truncation", cmd_truncation, "frequency truncation report",
+               **_frame_options(0.9, 2, -24, 6), M=(int, 22), N=(int, 4), J=(int, 1),
+               L=(float, None), seed=(int, 0), trials=(_count, 3), calibrate=(_count, 2))
+    subcommand("spatial", cmd_spatial, "spatial truncation sweep",
+               **_frame_options(0.4, 8, -13, 2), cap_radius=(float, 0.6), c=(float, 0.5),
+               i_decay=(float, 3.0), doublings=(_count, 3), seed=(int, 0))
+    subcommand("needlet-diag", cmd_needlet_diag, "hybrid tail diagnostics",
+               N=(_float_list, "4,8,12"), a=(float, _A_THIRD), l_max=(int, 32))
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # config values go before the command line's own flags, which win
+            args = parser.parse_args(argv[:1] + _config_argv(args.subparser, args.config)
+                                     + argv[1:])
+        _check_finite(args)
         return args.func(args)
-    except (ValueError, MexNeedletError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, MexNeedletError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

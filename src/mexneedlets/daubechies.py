@@ -24,6 +24,8 @@ _MAX_TERMS = 20000
 
 
 def _ladder_step(filt, a):
+    if not math.isfinite(a):
+        raise ValueError("dilation a must be finite")
     if a <= 1:
         raise ValueError("dilation a must be > 1")
     return a ** filt.dilation_exponent
@@ -92,15 +94,6 @@ class DaubechiesBounds:
     ratio: float
     reference_level: float
 
-    def as_dict(self):
-        return {
-            "a": self.a,
-            "A": self.A,
-            "B": self.B,
-            "ratio": self.ratio,
-            "reference_level": self.reference_level,
-        }
-
 
 def daubechies_bounds(filt, a, grid_points=256):
     """Lower/upper bound constants A, B of the ladder sum.
@@ -112,8 +105,7 @@ def daubechies_bounds(filt, a, grid_points=256):
     """
     if grid_points < 64:
         raise ValueError("grid_points must be at least 64")
-    if a <= 1:
-        raise ValueError("dilation a must be > 1")
+    sigma = _ladder_step(filt, a)
     period = 2.0 * math.log(a)
 
     def g_of_u(u):
@@ -135,6 +127,5 @@ def daubechies_bounds(filt, a, grid_points=256):
 
     A = min(float(np.min(gs)), refine(int(np.argmin(gs)), 1.0))
     B = max(float(np.max(gs)), refine(int(np.argmax(gs)), -1.0))
-    sigma = _ladder_step(filt, a)
     reference = calderon_constant(filt) / math.log(sigma)
     return DaubechiesBounds(a=a, A=A, B=B, ratio=B / A, reference_level=reference)

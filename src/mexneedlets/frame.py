@@ -220,10 +220,6 @@ class FrameBounds:
     trials: int
     seed: int
 
-    def as_dict(self):
-        return {"A_emp": self.lower, "B_emp": self.upper, "ratio": self.ratio,
-                "trials": self.trials, "seed": self.seed}
-
 
 def empirical_frame_bounds(frame, trials, seed=0):
     """Extremes of the Rayleigh quotient over seeded random unit fields.

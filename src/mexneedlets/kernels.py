@@ -46,43 +46,57 @@ def _upper_gamma_int(n, z):
     return math.factorial(n - 1) * math.exp(-z) * total
 
 
+def _check_scale(t):
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError("scale t must be positive and finite, got %r" % (t,))
+
+
+def _too_many_terms(t):
+    return SeriesOverflowError("series needs degree > %d at t = %r" % (_MAX_SERIES_DEGREE, t))
+
+
 def series_cut_degree(filt, t, tol, convention="laplacian"):
     """Smallest degree L with a certified tail bound below tol.
 
     Uses |P_l| <= 1.  For cutoff filters the series terminates exactly at
     the support edge.  For mexican filters the tail past the peak of the
-    summand is dominated by an incomplete-gamma integral.
+    summand is dominated by an incomplete-gamma integral.  A t at which
+    the series cannot be evaluated in floating point raises
+    SeriesOverflowError.
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _check_scale(t)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    hi = 2.0
+    t2 = t * t
+    if not 0.0 < t2 < math.inf:
+        raise SeriesOverflowError("t^2 is out of floating-point range at t = %r" % (t,))
     if not filt.is_mexican:
-        if convention == "degree":
-            L = int(math.ceil(hi / t))
-        else:
-            L = int(math.ceil((-1.0 + math.sqrt(1.0 + 4.0 * (hi / t) ** 2)) / 2.0))
-        if L > _MAX_SERIES_DEGREE:
-            raise SeriesOverflowError("series needs degree %d; t too small" % L)
-        return L
+        edge = filt.support[1] / t
+        if convention == "laplacian":
+            edge = (-1.0 + math.sqrt(1.0 + 4.0 * (edge * edge))) / 2.0
+        if edge > _MAX_SERIES_DEGREE:
+            raise _too_many_terms(t)
+        return int(math.ceil(edge))
     r = filt.r
     # beyond u = r+1 the summand decreases; start there
     if convention == "laplacian":
-        L = int(math.ceil((-1.0 + math.sqrt(1.0 + 4.0 * (r + 1.0) / t ** 2)) / 2.0)) + 1
+        peak = (-1.0 + math.sqrt(1.0 + 4.0 * (r + 1.0) / t2)) / 2.0
 
         def tail(L_):
-            return _upper_gamma_int(r + 1, t * t * L_ * (L_ + 1.0)) / t ** 2
+            return _upper_gamma_int(r + 1, t2 * L_ * (L_ + 1.0)) / t2
     else:
-        L = max(2, int(math.ceil(math.sqrt(r + 1.0) / t)) + 1)
+        peak = math.sqrt(r + 1.0) / t
 
         def tail(L_):
-            return 1.5 * _upper_gamma_int(r + 1, (t * L_) ** 2) / t ** 2
-
-    while tail(L) >= tol:
+            u = t * L_
+            return 1.5 * _upper_gamma_int(r + 1, u * u) / t2
+    if peak > _MAX_SERIES_DEGREE:
+        raise _too_many_terms(t)
+    L = max(2, int(math.ceil(peak)) + 1)
+    while not tail(L) < tol:  # a nan tail (t^2 L^2 overflows) never certifies
         L += max(2, L // 8)
         if L > _MAX_SERIES_DEGREE:
-            raise SeriesOverflowError("series needs degree > %d; t too small" % _MAX_SERIES_DEGREE)
+            raise _too_many_terms(t)
     return L
 
 
@@ -108,21 +122,24 @@ def kernel_gaussian_approx(t, theta, filt=None):
     """Small-t closed form for the mexican r=1 kernel 4 pi h_t(cos theta)."""
     if filt is not None and not (filt.is_mexican and filt.r == 1):
         raise UnsupportedFilterError("Gaussian approximation only covers mexican r=1")
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _check_scale(t)
     scalar = np.isscalar(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     t2 = t * t
     t4 = t2 * t2
     t6 = t4 * t2
     t8 = t4 * t4
-    quarter_ratio = th * th / (4.0 * t2)
-    p = (1.0 + t2 / 3.0 + t4 / 15.0 + 4.0 * t6 / 315.0 + t8 / 315.0
-         + (th * th / 4.0) * (1.0 / 3.0 + 2.0 * t2 / 15.0 + 4.0 * t4 / 105.0 + 4.0 * t6 / 315.0))
-    q = (1.0 / 3.0 + 2.0 * t2 / 15.0 + 4.0 * t4 / 105.0 + 4.0 * t6 / 315.0
-         + (th * th / 4.0) * (2.0 / 15.0 + 8.0 * t2 / 105.0 + 4.0 * t4 / 105.0))
-    with np.errstate(under="ignore"):
+    with np.errstate(all="ignore"):  # checked below
+        quarter_ratio = th * th / (4.0 * t2)
+        p = (1.0 + t2 / 3.0 + t4 / 15.0 + 4.0 * t6 / 315.0 + t8 / 315.0
+             + (th * th / 4.0) * (1.0 / 3.0 + 2.0 * t2 / 15.0 + 4.0 * t4 / 105.0
+                                  + 4.0 * t6 / 315.0))
+        q = (1.0 / 3.0 + 2.0 * t2 / 15.0 + 4.0 * t4 / 105.0 + 4.0 * t6 / 315.0
+             + (th * th / 4.0) * (2.0 / 15.0 + 8.0 * t2 / 105.0 + 4.0 * t4 / 105.0))
         out = np.exp(-quarter_ratio) / t2 * ((1.0 - quarter_ratio) * p - t2 * q)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("Gaussian approximation leaves the floating-point range at t = %r"
+                         % (t,))
     return float(out[0]) if scalar else out
 
 

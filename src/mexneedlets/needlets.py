@@ -206,6 +206,8 @@ def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000, n=2):
     tails.  Decay ratios against e^{-N} N and e^{-N} N^{n+3} are
     reported, not asserted.
     """
+    if not math.isfinite(N):
+        raise ValueError("N must be finite, got %r" % (N,))
     if N <= 1:
         raise ValueError("need N > 1")
     r = hybrid_rate(a, n)

@@ -192,6 +192,8 @@ def greedy_ball_partition(t, candidates=2000, grid_theta=512):
     """
     if not 0.0 < t < math.pi:
         raise ValueError("ball radius t must lie in (0, pi)")
+    if candidates < 1:
+        raise ValueError("need at least one candidate point")
     pts = fibonacci_points(candidates)
     chosen = []
     for p in pts:

@@ -66,11 +66,6 @@ class FrequencyBoundReport:
     bound_without_C0b: float
     measured_error: float = None
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "M", "N", "L", "l", "J", "c_prime_L", "C_prime_J", "M_J", "B_a",
-            "tail_norm", "F_norm", "bound_without_C0b", "measured_error")}
-
 
 def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, bounds=None):
     """Computable part of the frequency truncation bound (no C0 b term)."""
@@ -259,12 +254,6 @@ class SpatialTruncationReport:
     kept_cells: int
     dropped_cells: int
     dropped_quadratic_form: float
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "M", "N", "cap_area", "I_decay", "measured", "structural_factor",
-            "leakage", "measured_to_structural", "kept_cells", "dropped_cells",
-            "dropped_quadratic_form")}
 
 
 def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None):

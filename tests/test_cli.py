@@ -198,3 +198,50 @@ def test_config_values_take_the_declared_type(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--L" in captured.err
+
+
+def test_config_values_get_the_parser_checks(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    cases = [("mode = needle\n", ["frame-verify", "--l-max", "2", "--trials", "1"], "--mode"),
+             ("method = foo\n", ["kernel-profile"], "--method")]
+    for text, argv, option in cases:
+        config.write_text(text)
+        assert run(argv + ["--config", str(config)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument %s: invalid choice" % option in captured.err
+
+
+def test_config_flag_option_matches_the_flag(tmp_path, capsys):
+    t = "0.7853981633974483"
+    assert run(["partition", "--greedy", "--t", t]) == 0
+    by_flag = capsys.readouterr().out
+    config = tmp_path / "greedy.cfg"
+    config.write_text("greedy = true\nt = %s\n" % t)
+    assert run(["partition", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+def test_negative_counts_exit_2(tmp_path, capsys):
+    config = tmp_path / "count.cfg"
+    config.write_text("trials = -1\n")
+    cases = [(["truncation", "--calibrate", "-1"], "--calibrate"),
+             (["truncation", "--trials", "-1"], "--trials"),
+             (["spatial", "--doublings", "-1"], "--doublings"),
+             (["partition", "--greedy", "--candidates", "-1"], "--candidates"),
+             (["frame-verify", "--config", str(config)], "--trials")]
+    for argv, option in cases:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument %s: invalid non-negative integer value" % option in captured.err
+
+
+def test_needlet_diag_n_must_be_finite(capsys):
+    for n_list in ("inf", "4,nan"):
+        assert run(["needlet-diag", "--N", n_list, "--l-max", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --N must be finite" in captured.err
+    assert run(["needlet-diag", "--N", "4,x"]) == 2
+    assert "error: argument --N" in capsys.readouterr().err

@@ -121,3 +121,9 @@ def test_parameter_validation():
         daubechies_bounds(MEX1, A13, grid_points=32)
     with pytest.raises(ValueError):
         truncated_daubechies_sum(MEX1, 2.0, 1.0, -1, 0)
+
+
+def test_non_finite_dilation_rejected():
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dilation a must be finite"):
+            daubechies_bounds(MEX1, a)

@@ -144,3 +144,31 @@ def test_profile_validation():
         kernel_series(MEX1, 0.1, 1.5)
     with pytest.raises(ValueError):
         kernel_series(MEX1, -0.1, 0.5)
+
+
+def test_kernel_profile_rejects_non_finite_scale():
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale t must be positive and finite"):
+            kernel_profile(MEX1, t, 11)
+
+
+def test_gaussian_approx_rejects_bad_scale():
+    with pytest.raises(ValueError, match="scale t must be positive and finite"):
+        kernel_gaussian_approx(math.nan, 0.3)
+    # 1/t^2 overflows: the closed form has no finite value at theta = 0
+    with pytest.raises(ValueError, match="floating-point range"):
+        kernel_gaussian_approx(1e-300, np.array([0.0, 0.3]))
+
+
+def test_series_cut_degree_outside_float_range():
+    # t^2 underflows to 0 (the degree formula divided by it) or overflows
+    for filt in (MEX1, CUT):
+        for t in (1e-300, 1e308):
+            with pytest.raises(SeriesOverflowError, match="floating-point range"):
+                series_cut_degree(filt, t, 1e-8)
+    # t^2 is finite but t^2 L^2 is not: the tail cannot be certified
+    for convention in ("laplacian", "degree"):
+        with pytest.raises(SeriesOverflowError):
+            series_cut_degree(MEX1, 1e154, 1e-8, convention)
+    with pytest.raises(ValueError, match="finite"):
+        series_cut_degree(MEX1, math.nan, 1e-8)

@@ -180,3 +180,9 @@ def test_hybrid_tail_diagnostics_decay():
     assert recs[2]["eps3"] < 1e-3
     for r in recs:
         assert r["eps3_ratio"] < 0.01 and r["eps4_ratio"] < 0.01
+
+
+def test_hybrid_tail_diagnostics_rejects_non_finite_n():
+    for N in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="N must be finite"):
+            hybrid_tail_diagnostics(N, A13, 4, grid_points=10)

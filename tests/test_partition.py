@@ -168,3 +168,8 @@ def test_partition_json_schema(tmp_path):
     assert set(cell) == {"center", "measure", "diameter_bound"}
     total = sum(c["measure"] for c in doc["cells"])
     assert total == pytest.approx(4 * math.pi, rel=1e-12)
+
+
+def test_greedy_partition_needs_a_candidate():
+    with pytest.raises(ValueError, match="at least one candidate"):
+        greedy_ball_partition(0.9, candidates=0)
