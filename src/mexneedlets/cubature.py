@@ -46,7 +46,6 @@ def cubature_rule(m):
     grid = BandGrid(
         theta=theta,
         phi0=np.zeros(n_theta),
-        dphi=np.full(n_theta, 2.0 * math.pi / n_phi),
         counts=np.full(n_theta, n_phi, dtype=np.int64),
         row_weight=w[order] * (2.0 * math.pi / n_phi),
     )

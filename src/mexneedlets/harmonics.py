@@ -105,11 +105,13 @@ def norm_assoc_legendre(L, cos_theta):
         table[:, _lm(m, m)] = table[:, _lm(m - 1, m - 1)] * st * math.sqrt((2 * m + 1) / (2.0 * m))
     for m in range(0, L):
         table[:, _lm(m + 1, m)] = math.sqrt(2 * m + 3.0) * ct * table[:, _lm(m, m)]
-    for m in range(0, L + 1):
-        for l in range(m + 2, L + 1):
-            alm = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            blm = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            table[:, _lm(l, m)] = alm * (ct * table[:, _lm(l - 1, m)] - blm * table[:, _lm(l - 2, m)])
+    ct = ct[:, None]
+    for l in range(2, L + 1):
+        m = np.arange(l - 1)  # every order m <= l - 2 in one step
+        alm = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        blm = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        table[:, _lm(l, 0):_lm(l, l - 1)] = alm * (
+            ct * table[:, _lm(l - 1, 0):_lm(l - 1, l - 1)] - blm * table[:, _lm(l - 2, 0):_lm(l - 2, l - 1)])
     return table
 
 
@@ -119,14 +121,16 @@ def real_sh_matrix(L, xyz):
     ct = np.clip(xyz[:, 2], -1.0, 1.0)
     phi = np.arctan2(xyz[:, 1], xyz[:, 0])
     plm = norm_assoc_legendre(L, ct)
+    mphi = np.outer(phi, np.arange(1, L + 1))
+    cos_m, sin_m = np.cos(mphi), np.sin(mphi)  # column m - 1 holds order m
     out = np.zeros((xyz.shape[0], n_coeffs(L)))
     sqrt2 = math.sqrt(2.0)
     for l in range(L + 1):
-        out[:, sh_index(l, 0)] = plm[:, _lm(l, 0)]
-        for m in range(1, l + 1):
-            base = sqrt2 * plm[:, _lm(l, m)]
-            out[:, sh_index(l, m)] = base * np.cos(m * phi)
-            out[:, sh_index(l, -m)] = base * np.sin(m * phi)
+        c = sh_index(l, 0)
+        out[:, c] = plm[:, _lm(l, 0)]
+        base = sqrt2 * plm[:, _lm(l, 1):_lm(l, l) + 1]
+        out[:, c + 1:c + l + 1] = base * cos_m[:, :l]
+        out[:, c - l:c] = (base * sin_m[:, :l])[:, ::-1]  # q = -l..-1
     return out
 
 

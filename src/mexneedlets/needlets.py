@@ -181,6 +181,8 @@ def crossing_index(N, r, l, a, tol=1e-10):
 
 def hybrid_rate(a, n=2):
     """Linear growth rate r = max(1, 2(n+2) ln a) of the hybrid cut rule."""
+    if not math.isfinite(a):
+        raise ValueError("dilation a must be finite")
     if a <= 1:
         raise ValueError("need a > 1")
     return max(1.0, 2.0 * (n + 2) * math.log(a))
@@ -188,6 +190,8 @@ def hybrid_rate(a, n=2):
 
 def hybrid_cut_degree(j, N, a, n=2):
     """Per-scale cut degree: least integer above sqrt(N + r (j-1)_-) / a^{j-1}."""
+    if not math.isfinite(N):
+        raise ValueError("N must be finite, got %r" % (N,))
     if N < 1 or a <= 1:
         raise ValueError("need N >= 1 and a > 1")
     r = hybrid_rate(a, n)

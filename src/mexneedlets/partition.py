@@ -150,8 +150,7 @@ def build_partition(j, a, b):
                          dphi * (math.cos(lo) - math.cos(hi)), rect_diameter(lo, hi, dphi)))
         rows.append((math.pi - r_cap, math.pi, 1, 2.0 * math.pi, cap_area, 2.0 * r_cap))
     theta_lo, theta_c, counts, dphi, area, diam = (np.array(col) for col in zip(*rows))
-    grid = BandGrid(theta=theta_c, phi0=PHI_FRACTION * dphi, dphi=dphi, counts=counts,
-                    row_weight=area)
+    grid = BandGrid(theta=theta_c, phi0=PHI_FRACTION * dphi, counts=counts, row_weight=area)
     return ScalePartition(j, a, b, d, grid, np.append(theta_lo, math.pi), diam)
 
 
@@ -213,7 +212,6 @@ def greedy_ball_partition(t, candidates=2000, grid_theta=512):
     label_grid = BandGrid(
         theta=theta,
         phi0=np.zeros(grid_theta),
-        dphi=np.full(grid_theta, 2.0 * math.pi / n_phi),
         counts=np.full(grid_theta, n_phi, dtype=np.int64),
         row_weight=w * (2.0 * math.pi / n_phi),
     )

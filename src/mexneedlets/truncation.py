@@ -69,6 +69,10 @@ class FrequencyBoundReport:
 
 def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, bounds=None):
     """Computable part of the frequency truncation bound (no C0 b term)."""
+    for name, value in (("J", J), ("L", L), ("M", M), ("N", N),
+                        ("tail_norm", tail_norm), ("F_norm", F_norm)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     if J < 1 or int(J) != J:
         raise ValueError("decay order J must be a positive integer")
     if L <= 0:
@@ -77,6 +81,8 @@ def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, bounds=None):
         raise ValueError("l must match the filter vanishing order (>= 1)")
     if M < 0 or N < 0:
         raise ValueError("window sizes M, N must be nonnegative")
+    if tail_norm < 0 or F_norm < 0:
+        raise ValueError("norms tail_norm, F_norm must be nonnegative")
     a = spec.a
     f0_sup = spec.filter.f0_sup()
     c_prime = (L ** (2 * l)) * f0_sup ** 2 / (a ** (4 * l) - 1.0)

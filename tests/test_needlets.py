@@ -186,3 +186,19 @@ def test_hybrid_tail_diagnostics_rejects_non_finite_n():
     for N in (math.inf, math.nan):
         with pytest.raises(ValueError, match="N must be finite"):
             hybrid_tail_diagnostics(N, A13, 4, grid_points=10)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_hybrid_rules_reject_non_finite_dilation(a):
+    with pytest.raises(ValueError, match="dilation a must be finite"):
+        hybrid_tail_diagnostics(4.0, a, 4)
+    with pytest.raises(ValueError, match="dilation a must be finite"):
+        hybrid_rate(a)
+    with pytest.raises(ValueError, match="dilation a must be finite"):
+        hybrid_cut_degree(0, 4.0, a)
+
+
+def test_hybrid_cut_degree_rejects_non_finite_n():
+    for N in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="N must be finite"):
+            hybrid_cut_degree(0, N, A13)

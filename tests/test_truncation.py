@@ -75,6 +75,21 @@ def test_bound_parameter_errors(spec, bounds):
         frequency_bound(spec, 2, 1, 6.0, 1, 1, 0.0, 1.0, bounds=bounds)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["J", "L", "M", "N", "tail_norm", "F_norm"])
+def test_bound_rejects_non_finite_arguments(spec, bounds, name, value):
+    args = {"J": 1, "L": 6.0, "M": 1, "N": 1, "tail_norm": 0.0, "F_norm": 1.0}
+    args[name] = value
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        frequency_bound(spec, 1, bounds=bounds, **args)
+
+
+def test_bound_rejects_negative_norms(spec, bounds):
+    for tail_norm, F_norm in ((-1.0, 1.0), (0.0, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            frequency_bound(spec, 1, 1, 6.0, 1, 1, tail_norm, F_norm, bounds=bounds)
+
+
 def test_spectral_tail_norm_thresholds():
     F = HarmonicField.random_mean_zero(5, np.random.default_rng(0))
     assert spectral_tail_norm(F, 30.0) == 0.0
