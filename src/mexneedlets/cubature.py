@@ -34,8 +34,8 @@ def cubature_rule(m):
     degree m+1; m+1 equispaced longitudes kill every Fourier mode with
     0 < |q| <= m.  All weights are positive and sum to 4 pi.
     """
-    if m < 0 or int(m) != m:
-        raise ValueError("degree must be a nonnegative integer")
+    if not (math.isfinite(m) and m >= 0 and int(m) == m):
+        raise ValueError("cubature degree m must be a nonnegative integer, got %r" % (m,))
     if m > 512:
         raise ValueError("cubature degree above 512 is outside desk scale")
     n_theta = (int(m) + 3) // 2  # ceil((m+2)/2)

@@ -42,10 +42,7 @@ def daubechies_sum(filt, a, lam, tail_rel=_TAIL_REL):
     if lam <= 0:
         raise ValueError("lam must be positive")
     sigma = _ladder_step(filt, a)
-    # start at the rung nearest the summand's peak (argument ~ 1); the
-    # summand is unimodal along the ladder, so the consecutive-small stop
-    # is valid walking outward from there
-    x_peak = lam * sigma ** (-round(math.log(lam) / math.log(sigma)))
+    x_peak = _peak_rung(lam, sigma)
     total = float(filt(x_peak)) ** 2
     for direction in (sigma, 1.0 / sigma):
         x = x_peak
@@ -60,6 +57,40 @@ def daubechies_sum(filt, a, lam, tail_rel=_TAIL_REL):
                     break
             else:
                 small = 0
+        else:
+            raise RuntimeError("ladder sum failed to converge")
+    return total
+
+
+def _peak_rung(lam, sigma):
+    # start at the rung nearest the summand's peak (argument ~ 1); the
+    # summand is unimodal along the ladder, so the consecutive-small stop
+    # is valid walking outward from there
+    return lam * sigma ** (-round(math.log(lam) / math.log(sigma)))
+
+
+def _ladder_sums(filt, a, lams, tail_rel=_TAIL_REL):
+    """``daubechies_sum`` at every lam at once, bit-identical to one call per lam.
+
+    All ladders are walked together, each until its own two-consecutive-
+    small stop, adding the same terms in the same order as the scalar walk.
+    """
+    sigma = _ladder_step(filt, a)
+    x_peak = np.array([_peak_rung(lam, sigma) for lam in lams])
+    # float_power is libm pow, like the scalar walk's float ** 2
+    total = np.float_power(filt(x_peak), 2)
+    for direction in (sigma, 1.0 / sigma):
+        x = x_peak.copy()
+        small = np.zeros(x.shape, dtype=int)
+        live = np.arange(x.size)
+        for _ in range(_MAX_TERMS):
+            x[live] *= direction
+            term = np.float_power(filt(x[live]), 2)
+            total[live] += term
+            small[live] = np.where(term <= tail_rel * total[live], small[live] + 1, 0)
+            live = live[small[live] < 2]
+            if live.size == 0:
+                break
         else:
             raise RuntimeError("ladder sum failed to converge")
     return total
@@ -112,7 +143,7 @@ def daubechies_bounds(filt, a, grid_points=256):
         return daubechies_sum(filt, a, math.exp(u))
 
     us = np.linspace(0.0, period, int(grid_points), endpoint=False)
-    gs = np.array([g_of_u(u) for u in us])
+    gs = _ladder_sums(filt, a, [math.exp(u) for u in us])
     h = period / grid_points
 
     def refine(i, sign):

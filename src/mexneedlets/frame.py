@@ -14,7 +14,16 @@ Every frame reaches this module through ``terms()``: per scale j, a
 w_j(0..L_j).  A ``FrameSpec`` samples cell centers with cell measures
 (L_j = L_max); a cutoff-needlet frame samples cubature nodes with
 cubature weights (L_j = l_cut(j)).  At scale j a field is read only
-through degrees l <= min(L_j, field band).
+through degrees l <= min(L_j, field band), and S F carries degrees up to L_j.
+
+``quadratic_form`` and ``apply_summation`` never form the values G_j(x_k) of
+an unmasked scale: the grid sums mu_k G_j(x_k)^2 and
+sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
+(``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
+meets order m' only where n divides m - m' or m + m', grouped by
+n_eff = min(n, L_in + L_out + 1)).  A mask selects single points, so a scale
+listed in ``masks`` goes through point values (``synthesis`` then ``adjoint``),
+as do ``analyze`` and the elements.
 """
 
 import csv
@@ -153,26 +162,26 @@ def _weighted(w, field):
     return w[degree_of_index(L)] * field.coeffs[: n_coeffs(L)]
 
 
-def _scale_values(frame, field, scales=None):
-    """Yield (j, grid, w_j, [w_j(M) F](x_{j,k})) per selected scale."""
+def _scale_terms(frame, field, scales=None):
+    """Yield (j, grid, w_j, w_j(l) c_{l,q}) per selected scale."""
     field = _check_field(frame, field)
     use = None if scales is None else set(scales)
     for j, grid, w in frame.terms():
         if use is None or j in use:
-            yield j, grid, w, grid.synthesis(_weighted(w, field))
+            yield j, grid, w, _weighted(w, field)
 
 
 def _masked_weights(grid, masks, j):
-    mu = grid.point_weights()
-    if masks is not None and j in masks:
-        mu = np.where(masks[j], mu, 0.0)
-    return mu
+    """mu_{j,k} zeroed outside the mask of scale j, or None if j carries no mask."""
+    if masks is None or j not in masks:
+        return None
+    return np.where(masks[j], grid.point_weights(), 0.0)
 
 
 def analyze(frame, field):
     """All coefficients <F, phi_{j,k}> = mu_{j,k}^{1/2} [w_j(M) F](x_{j,k}), per scale."""
-    return {j: np.sqrt(grid.point_weights()) * values
-            for j, grid, _, values in _scale_values(frame, field)}
+    return {j: np.sqrt(grid.point_weights()) * grid.synthesis(c)
+            for j, grid, _, c in _scale_terms(frame, field)}
 
 
 def frame_element(frame, j, k):
@@ -189,18 +198,27 @@ def frame_element(frame, j, k):
 def quadratic_form(frame, field, scales=None, masks=None):
     """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over the selected index set."""
     total = 0.0
-    for j, grid, _, values in _scale_values(frame, field, scales):
-        total += float(np.dot(_masked_weights(grid, masks, j), values * values))
+    for j, grid, _, c in _scale_terms(frame, field, scales):
+        mu = _masked_weights(grid, masks, j)
+        if mu is None:
+            total += grid.energy(c)
+        else:
+            values = grid.synthesis(c)
+            total += float(np.dot(mu, values * values))
     return total
 
 
 def apply_summation(frame, field, scales=None, masks=None):
     """S F (or a restricted S_I F) in spectral form; always mean-zero."""
     out = np.zeros(n_coeffs(_band_limit(frame)))
-    for j, grid, w, values in _scale_values(frame, field, scales):
+    for j, grid, w, c in _scale_terms(frame, field, scales):
         L = len(w) - 1
         mu = _masked_weights(grid, masks, j)
-        out[: n_coeffs(L)] += w[degree_of_index(L)] * grid.adjoint(mu * values, L)
+        if mu is None:
+            Sc = grid.normal(c, L)
+        else:
+            Sc = grid.adjoint(mu * grid.synthesis(c), L)
+        out[: n_coeffs(L)] += w[degree_of_index(L)] * Sc
     return HarmonicField(out)
 
 

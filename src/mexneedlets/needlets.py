@@ -124,6 +124,7 @@ def tail_bound_lhs_rhs(M, b, a):
     rhs = a^2/(a^2-1) e^{-2M} (M/2 + 1/4); requires M > 1/2 so the
     integrand t e^{-2t} is decreasing on the summed range.
     """
+    _require_finite(M=M, b=b, a=a)
     if M <= 0.5:
         raise ValueError("tail bound requires M > 1/2")
     if b <= 0 or a <= 1:
@@ -143,8 +144,17 @@ def tail_bound_lhs_rhs(M, b, a):
     return lhs, rhs
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 def crossing_bracket(N, r, l, a, n=2):
     """Logarithmic bracket [p, q] for the scale-crossing index."""
+    _require_finite(N=N, r=r, l=l, a=a)
+    if N < 1 or r < 1 or l < 1 or a <= 1:
+        raise ValueError("need N >= 1, r >= 1, l >= 1, a > 1")
     p = 0.5 * math.log(N / (l * (l + n - 1.0))) / math.log(a)
     q = 0.5 * math.log(r * N / l) / math.log(a)
     return p, q
@@ -157,14 +167,12 @@ def crossing_index(N, r, l, a, tol=1e-10):
     root is unique; the returned value satisfies the defining equation
     to within ``tol``.
     """
-    if N < 1 or r < 1 or l < 1 or a <= 1:
-        raise ValueError("need N >= 1, r >= 1, l >= 1, a > 1")
+    p, q = crossing_bracket(N, r, l, a)
     lam = l * (l + 1.0)
 
     def resid(m):
         return a ** (2.0 * m) * lam - (N + r * max(-m, 0.0))
 
-    p, q = crossing_bracket(N, r, l, a)
     lo, hi = min(p, q) - 1.0, max(p, q) + 1.0
     while resid(lo) > 0:
         lo -= 5.0

@@ -8,6 +8,18 @@ coefficients of orders m <= L, and the longitude series is one length-n
 FFT per ring (the ring technique of Driscoll & Healy 1994 and libsharp).
 On a ring of n points order m aliases onto bin m mod n, so every ring,
 from a one-point polar cap to thousands of cells, takes the same path.
+
+The weighted normal operator adjoint(mu * synthesis(c)) needs no point
+values: on a ring of n points sum_k e^{i (m -+ m') phi_k} is
+n e^{i (m -+ m') phi0} where n divides m -+ m' and 0 elsewhere (the
+Parseval/aliasing identity behind the ring technique), so each output order
+is a 0/1 combination of input orders.  For input orders m' <= L_in and
+output orders m <= L_out the two conditions depend on n only through
+n_eff = min(n, L_in + L_out + 1).  Rows are grouped by n_eff, every long row
+in one group whose alias matrices are the identity and e_0 e_0^T, and each
+group costs two small matmuls, however many points its rows hold.
+``normal`` back-projects the result with ``adjoint``'s Legendre loop;
+``energy`` needs only the sum of fold times spectrum.
 """
 
 import math
@@ -124,9 +136,7 @@ class BandGrid:
         m mod n, and one inverse FFT of length n evaluates the row.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        L = int(round(math.sqrt(coeffs.size))) - 1
-        if n_coeffs(L) != coeffs.size:
-            raise ValueError("coefficient vector length must be a perfect square")
+        L = _band(coeffs)
         A, B = self._fold(coeffs, L)
         values = np.empty(self.n_points)
         for rows, idx, bins, phase in self._rings(L):
@@ -150,6 +160,10 @@ class BandGrid:
             z = np.fft.fft(values[idx], axis=1)[:, bins].conj() * phase
             alpha[rows] = z.real
             beta[rows] = z.imag
+        return self._back_project(alpha, beta, L)
+
+    def _back_project(self, alpha, beta, L):
+        """Coefficients of row spectra (alpha, beta) of orders m <= L: the transpose of ``_fold``."""
         plm = self._plm(L)
         out = np.zeros(n_coeffs(L))
         root2 = math.sqrt(2.0)
@@ -163,4 +177,54 @@ class BandGrid:
                 out[base + m] = root2 * (plm_m.T @ alpha[:, m])
                 out[base - m] = root2 * (plm_m.T @ beta[:, m])
         return out
+
+    # -- weighted normal operator in Fourier-order space ------------------
+
+    def _weighted_spectrum(self, A, B, L):
+        """Row spectra (alpha, beta), orders m <= L, of adjoint(point_weights() * values).
+
+        ``values`` is the field with row folds (A, B) on the grid, never formed.
+        On a row of n points with weight mu, sum_k mu v_k e^{i m phi_k} is
+        (n mu / 2) e^{i m phi0} sum_m' ([m = m' mod n] conj(C_m') + [m + m' = 0 mod n] C_m')
+        with C_m' = (A_m' - i B_m') e^{i m' phi0}, one pair of 0/1 alias
+        matrices per n_eff = min(n, L_in + L + 1).
+        """
+        if self.row_weight is None:
+            raise ValueError("grid carries no quadrature weights")
+        L_in = A.shape[1] - 1
+        m_in = np.arange(L_in + 1)[:, None]
+        m_out = np.arange(L + 1)
+        phase = np.exp(1j * np.outer(self.phi0, np.arange(max(L_in, L) + 1)))
+        C = (A - 1j * B) * phase[:, : L_in + 1]
+        n_eff = np.minimum(self.counts, L_in + L + 1)
+        Z = np.empty((self.n_rows, L + 1), dtype=complex)
+        for n in np.unique(n_eff).tolist():
+            rows = np.flatnonzero(n_eff == n)
+            same = ((m_in - m_out) % n == 0).astype(float)
+            opposite = ((m_in + m_out) % n == 0).astype(float)
+            Z[rows] = C[rows].conj() @ same + C[rows] @ opposite
+        Z *= (0.5 * self.counts * self.row_weight)[:, None] * phase[:, : L + 1]
+        return Z.real, Z.imag
+
+    def normal(self, coeffs, L):
+        """adjoint(point_weights() * synthesis(coeffs), L), without point values or FFTs."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        A, B = self._fold(coeffs, _band(coeffs))
+        return self._back_project(*self._weighted_spectrum(A, B, L), L)
+
+    def energy(self, coeffs):
+        """dot(point_weights(), synthesis(coeffs) ** 2), without point values or FFTs."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        L = _band(coeffs)
+        A, B = self._fold(coeffs, L)
+        alpha, beta = self._weighted_spectrum(A, B, L)
+        return float(np.sum(A * alpha) + np.sum(B * beta))
+
+
+def _band(coeffs):
+    """Band limit L of a coefficient vector of length (L+1)^2."""
+    L = int(round(math.sqrt(coeffs.size))) - 1
+    if n_coeffs(L) != coeffs.size:
+        raise ValueError("coefficient vector length must be a perfect square")
+    return L
 

@@ -5,8 +5,10 @@ import pytest
 
 from mexneedlets import (SpectralFilter, calderon_constant, daubechies_bounds,
                          daubechies_sum, eigen_daubechies_sum, truncated_daubechies_sum)
+from mexneedlets.daubechies import _ladder_sums
 
 MEX1 = SpectralFilter("mexican", 1)
+MEX2 = SpectralFilter("mexican", 2)
 NORM = SpectralFilter("normalized_cutoff")
 A13 = 2.0 ** (1.0 / 3.0)
 
@@ -127,3 +129,24 @@ def test_non_finite_dilation_rejected():
     for a in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dilation a must be finite"):
             daubechies_bounds(MEX1, a)
+
+
+
+@pytest.mark.parametrize("filt, a", [(MEX1, A13), (MEX1, math.sqrt(2.0)), (MEX1, 2.0),
+                                     (MEX2, A13), (MEX2, math.sqrt(2.0)), (MEX2, 2.0),
+                                     (NORM, 2.0)])
+def test_bounds_scan_is_bit_identical_to_one_sum_per_point(filt, a):
+    # the 256-point scan of daubechies_bounds walks every ladder at once
+    us = np.linspace(0.0, 2.0 * math.log(a), 256, endpoint=False)
+    lams = [math.exp(u) for u in us]
+    expected = np.array([daubechies_sum(filt, a, lam) for lam in lams])
+    assert np.array_equal(_ladder_sums(filt, a, lams), expected)
+
+
+def test_ladder_sums_are_bit_identical_at_random_points():
+    rng = np.random.default_rng(4)
+    for filt in (MEX1, MEX2, NORM):
+        a = 1.05 + 1.5 * rng.random()
+        lams = np.exp(rng.uniform(-12.0, 12.0, 40)).tolist()
+        expected = np.array([daubechies_sum(filt, a, lam) for lam in lams])
+        assert np.array_equal(_ladder_sums(filt, a, lams), expected)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
-                         apply_summation, build_partition, coefficients_to_csv,
-                         default_scale_window, empirical_frame_bounds, evaluate_field,
-                         frame_element, greedy_ball_partition, kernel_series,
+                         apply_summation, build_needlet_frame, build_partition,
+                         coefficients_to_csv, default_scale_window, empirical_frame_bounds,
+                         evaluate_field, frame_element, greedy_ball_partition, kernel_series,
                          quadratic_form, rayleigh_quotient, spectral_multiplier_energy)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
+from mexneedlets.harmonics import degree_of_index, n_coeffs
+from mexneedlets.sphgrid import BandGrid
 
 MEX1 = SpectralFilter("mexican", 1)
 A13 = 2.0 ** (1.0 / 3.0)
@@ -202,3 +204,80 @@ def test_coefficient_csv(tmp_path, spec, field):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "j,k,center_x,center_y,center_z,measure,coefficient"
     assert len(lines) == 1 + small.total_cells()
+
+
+def _point_path(frame, field, masks=None):
+    """(<S F, F>, S F) from point values: synthesis, weights mu (masked), adjoint."""
+    L = max(len(w) for _, _, w in frame.terms()) - 1
+    form, out = 0.0, np.zeros(n_coeffs(L))
+    for j, grid, w in frame.terms():
+        L_j = len(w) - 1
+        L_in = min(L_j, field.L_max)
+        values = grid.synthesis(w[degree_of_index(L_in)] * field.coeffs[: n_coeffs(L_in)])
+        mu = grid.point_weights()
+        if masks is not None and j in masks:
+            mu = np.where(masks[j], mu, 0.0)
+        form += float(np.dot(mu, values * values))
+        out[: n_coeffs(L_j)] += w[degree_of_index(L_j)] * grid.adjoint(mu * values, L_j)
+    return form, out
+
+
+def _assert_matches_point_path(frame, field, masks=None):
+    form, ref = _point_path(frame, field, masks)
+    assert quadratic_form(frame, field, masks=masks) == pytest.approx(form, rel=1e-12)
+    SF = apply_summation(frame, field, masks=masks).coeffs
+    assert SF.shape == ref.shape
+    assert np.linalg.norm(SF - ref) <= 1e-12 * np.linalg.norm(ref)
+    return SF, ref
+
+
+def test_summation_of_low_band_field_reaches_the_frame_band(spec):
+    # S F of a field of band 4 < L_max = 8 has components up to L_max
+    F = HarmonicField.random_mean_zero(4, np.random.default_rng(5))
+    SF, ref = _assert_matches_point_path(spec, F)
+    high = slice(n_coeffs(4), None)
+    assert np.linalg.norm(ref[high]) > 1e-3 * np.linalg.norm(ref)
+    assert np.linalg.norm(SF[high] - ref[high]) <= 1e-12 * np.linalg.norm(ref[high])
+
+
+def test_needlet_summation_of_low_band_field_matches_point_path():
+    frame = build_needlet_frame(SpectralFilter("normalized_cutoff"), -3, 0)
+    assert max(s.l_cut for s in frame.scales) > 3
+    F = HarmonicField.random_mean_zero(3, np.random.default_rng(6))
+    SF, _ = _assert_matches_point_path(frame, F)
+    assert SF.shape == (n_coeffs(max(s.l_cut for s in frame.scales)),)
+
+
+def test_masks_on_some_scales_match_point_path(spec, field):
+    rng = np.random.default_rng(8)
+    masks = {j: rng.random(spec.n_cells(j)) < 0.5 for j in spec.scales[::3]}
+    assert 0 < len(masks) < len(spec.scales)
+    _assert_matches_point_path(spec, field, masks)
+    _assert_matches_point_path(spec, field)
+
+
+class _PointValues(Exception):
+    pass
+
+
+def test_unmasked_form_and_summation_take_no_point_values(spec, field, monkeypatch):
+    needlets = build_needlet_frame(SpectralFilter("normalized_cutoff"), -3, 0)
+    G = HarmonicField.random_mean_zero(5, np.random.default_rng(9))
+
+    def refuse(*args, **kwargs):
+        raise _PointValues
+
+    monkeypatch.setattr(BandGrid, "synthesis", refuse)
+    monkeypatch.setattr(BandGrid, "adjoint", refuse)
+    for frame, F in ((spec, field), (needlets, G)):
+        quadratic_form(frame, F)
+        apply_summation(frame, F)
+        with pytest.raises(_PointValues):
+            analyze(frame, F)
+    quadratic_form(spec, field, scales=[-4, -3])
+    apply_summation(spec, field, scales=[-4, -3])
+    masks = {spec.scales[0]: np.ones(spec.n_cells(spec.scales[0]), dtype=bool)}
+    with pytest.raises(_PointValues):
+        quadratic_form(spec, field, masks=masks)
+    with pytest.raises(_PointValues):
+        apply_summation(spec, field, masks=masks)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mexneedlets import (HarmonicField, SpectralFilter, apply_summation,
-                         build_needlet_frame, crossing_bracket, crossing_index,
+                         build_needlet_frame, crossing_bracket, crossing_index, cubature_rule,
                          empirical_frame_bounds, hybrid_cut_degree, hybrid_rate,
                          hybrid_tail_diagnostics, needlet_analyze, needlet_frame_element,
                          tail_bound_lhs_rhs, tightness_ratio)
@@ -202,3 +202,19 @@ def test_hybrid_cut_degree_rejects_non_finite_n():
     for N in (math.inf, math.nan):
         with pytest.raises(ValueError, match="N must be finite"):
             hybrid_cut_degree(0, N, A13)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("M", lambda: tail_bound_lhs_rhs(math.nan, 1.0, 2.0), id="tail_bound-M"),
+    pytest.param("b", lambda: tail_bound_lhs_rhs(3.0, math.inf, 2.0), id="tail_bound-b"),
+    pytest.param("a", lambda: tail_bound_lhs_rhs(3.0, 1.0, math.nan), id="tail_bound-a"),
+    pytest.param("N", lambda: crossing_index(math.nan, 1.0, 2, 2.0), id="crossing_index-N"),
+    pytest.param("a", lambda: crossing_index(4.0, 1.0, 2, math.inf), id="crossing_index-a"),
+    pytest.param("a", lambda: crossing_bracket(4.0, 1.0, 2, math.inf), id="crossing_bracket-a"),
+    pytest.param("r", lambda: crossing_bracket(4.0, math.nan, 2, 2.0), id="crossing_bracket-r"),
+    pytest.param("m", lambda: cubature_rule(math.nan), id="cubature_rule-nan"),
+    pytest.param("m", lambda: cubature_rule(math.inf), id="cubature_rule-inf"),
+])
+def test_non_finite_parameters_raise_a_message_naming_them(name, call):
+    with pytest.raises(ValueError, match=r"(^|\s)%s must be" % name):
+        call()
