@@ -11,15 +11,14 @@ from .daubechies import (DaubechiesBounds, daubechies_bounds, daubechies_sum,
                          eigen_daubechies_sum, truncated_daubechies_sum)
 from .harmonics import (legendre_eval, legendre_table, multiplicity, real_sh_matrix,
                         sh_index, sphere_eigenvalue)
-from .fields import HarmonicField, evaluate_field, field_to_csv
+from .fields import HarmonicField, evaluate_field
 from .cubature import CubatureRule, cubature_rule, cubature_to_csv
 from .partition import (GreedyPartition, ScalePartition, build_partition,
                         greedy_ball_partition, partition_to_json, rect_diameter)
 from .kernels import (KernelProfile, kernel_gaussian_approx, kernel_profile,
                       kernel_series, series_gaussian_max_diff)
-from .frame import (FrameBounds, FrameSpec, analyze, apply_summation, coefficients_to_csv,
-                    default_scale_window, empirical_frame_bounds, frame_element,
-                    quadratic_form, rayleigh_quotient, spectral_multiplier_energy)
+from .frame import (FrameBounds, FrameSpec, analyze, apply_summation, default_scale_window,
+                    empirical_frame_bounds, frame_element, quadratic_form, rayleigh_quotient)
 from .truncation import (FrequencyBoundReport, GeodesicCap, SpatialTruncationReport,
                          complement_masks, fit_riemann_constant, frequency_bound,
                          measured_truncation_error, moment_constant,

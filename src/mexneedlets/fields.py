@@ -1,7 +1,5 @@
 """Band-limited fields on the sphere in the real orthonormal basis."""
 
-import csv
-
 import numpy as np
 
 from .errors import ZeroFieldError
@@ -75,13 +73,3 @@ def evaluate_field(field, xyz):
 def require_nonzero(field):
     if field.norm() == 0.0:
         raise ZeroFieldError("field is identically zero")
-
-
-def field_to_csv(field, path):
-    """Write the coefficient table as 'l,q,coeff' rows, l then q ascending."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "q", "coeff"])
-        for l in range(field.L_max + 1):
-            for q in range(-l, l + 1):
-                writer.writerow([l, q, repr(field.coeff(l, q))])

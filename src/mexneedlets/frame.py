@@ -26,7 +26,6 @@ listed in ``masks`` goes through point values (``synthesis`` then ``adjoint``),
 as do ``analyze`` and the elements.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -103,6 +102,8 @@ class FrameSpec:
             raise ValueError("band limit must be at least 1")
         if j_range is None:
             j_range = default_scale_window(filt, a, L_max, adequacy_eps)
+        if not all(float(j).is_integer() for j in j_range):
+            raise ValueError("j_range entries must be integers, got %r" % (tuple(j_range),))
         j_lo, j_hi = int(j_range[0]), int(j_range[1])
         if j_hi < j_lo:
             raise ValueError("empty scale range")
@@ -258,26 +259,3 @@ def empirical_frame_bounds(frame, trials, seed=0):
         hi = max(hi, q)
     return FrameBounds(lower=lo, upper=hi, ratio=hi / lo if lo > 0 else math.inf,
                        trials=trials, seed=seed)
-
-
-def spectral_multiplier_energy(spec, field, j):
-    """Exact ||f(a^{2j} Delta) F||^2 = sum_{l,q} w_j(l)^2 c_{l,q}^2."""
-    field = _check_field(spec, field)
-    return float(np.sum(_weighted(spec.weight_vector(j), field) ** 2))
-
-
-def coefficients_to_csv(spec, coeffs, path):
-    """Export analysis coefficients with cell metadata, scales ascending."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "center_x", "center_y", "center_z",
-                         "measure", "coefficient"])
-        for j, values in coeffs.items():
-            grid = spec.partitions[j].grid
-            mu = grid.point_weights()
-            centers = grid.points()
-            for k in range(grid.n_points):
-                c = centers[k]
-                writer.writerow([j, k, repr(float(c[0])), repr(float(c[1])),
-                                 repr(float(c[2])), repr(float(mu[k])),
-                                 repr(float(values[k]))])

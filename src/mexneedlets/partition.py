@@ -33,34 +33,33 @@ THETA_FRACTION = 0.38
 PHI_FRACTION = 0.31
 
 
-def _pair_distance(ta, tb, sep):
-    dot = math.cos(ta) * math.cos(tb) + math.sin(ta) * math.sin(tb) * math.cos(sep)
-    return math.acos(min(1.0, max(-1.0, dot)))
-
-
 def rect_diameter(theta1, theta2, dphi):
     """Exact geodesic diameter of the cell [theta1,theta2] x [0,dphi].
 
     The squared chord is smooth on the compact parameter square, so the
     maximum is attained at a corner, at the equatorial parallel pair, or
     at an edge-critical point tan(beta) = cos(sep) tan(theta_edge); all
-    candidates are enumerated in closed form.
+    candidates are enumerated in closed form.  Broadcasts over arrays of
+    cells; scalar input returns a float.
     """
-    sep = min(dphi, math.pi)
-    c = math.cos(sep)
-    best = theta2 - theta1
-    for ta in (theta1, theta2):
-        for tb in (theta1, theta2):
-            best = max(best, _pair_distance(ta, tb, sep))
-    if theta1 <= math.pi / 2 <= theta2:
-        best = max(best, sep)
-    for te in (theta1, theta2):
-        beta = math.atan(c * math.tan(te))
-        if beta <= 0.0:
-            beta += math.pi
-        if theta1 <= beta <= theta2:
-            best = max(best, _pair_distance(te, beta, sep))
-    return best
+    theta1, theta2, dphi = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                                 for x in (theta1, theta2, dphi)))
+    sep = np.minimum(dphi, math.pi)
+    c = np.cos(sep)
+    cos1, sin1, cos2, sin2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
+    # the farthest pair has the smallest cosine: one arccos over all candidate pairs
+    low = np.minimum(np.minimum(cos1 * cos1 + sin1 * sin1 * c, cos1 * cos2 + sin1 * sin2 * c),
+                     cos2 * cos2 + sin2 * sin2 * c)
+    for te, cos_e, sin_e in ((theta1, cos1, sin1), (theta2, cos2, sin2)):
+        beta = np.arctan(c * np.tan(te))
+        beta = np.where(beta <= 0.0, beta + math.pi, beta)
+        inside = (theta1 <= beta) & (beta <= theta2)
+        edge = cos_e * np.cos(beta) + sin_e * np.sin(beta) * c
+        low = np.where(inside, np.minimum(low, edge), low)
+    best = np.maximum(theta2 - theta1, np.arccos(np.clip(low, -1.0, 1.0)))
+    straddles = (theta1 <= math.pi / 2) & (math.pi / 2 <= theta2)
+    best = np.where(straddles, np.maximum(best, sep), best)
+    return float(best) if best.ndim == 0 else best
 
 
 class ScalePartition:
@@ -120,50 +119,74 @@ class ScalePartition:
 
 def build_partition(j, a, b):
     """Deterministic latitude-band partition with target diameter b a^j."""
+    if not math.isfinite(j):
+        raise ValueError("scale j must be finite, got %r" % (j,))
     if not math.isfinite(a):
         raise ValueError("dilation a must be finite, got %r" % (a,))
     if a <= 1:
         raise ValueError("dilation a must be > 1")
     if not 0 < b <= 1:
         raise ValueError("fineness b must lie in (0, 1]")
-    d = b * a ** j
+    try:
+        d = b * a ** j
+    except OverflowError:
+        raise ValueError("target diameter b a^j overflows at scale j=%r" % (j,)) from None
     if d < DESK_SCALE_MIN_DIAMETER:
         raise CellCountOverflowError(
             "target diameter %.3g below desk-scale guard %g" % (d, DESK_SCALE_MIN_DIAMETER))
-    # rows (theta_lo, theta_c, count, dphi, cell area, certified diameter);
+    # per row: theta_lo, theta_c, count, cell area, certified diameter;
     # a polar cap is one cell represented by its pole
     if d >= math.pi:
-        rows = [(0.0, 0.0, 1, 2.0 * math.pi, 4.0 * math.pi, math.pi)]
+        theta_lo, theta_c, counts, area, diam = [0.0], [0.0], [1], [4.0 * math.pi], [math.pi]
     else:
         r_cap = d / 2.0
         n_bands = max(1, int(math.ceil((math.pi - 2.0 * r_cap) / (d / math.sqrt(2.0)))))
         h = (math.pi - 2.0 * r_cap) / n_bands
         cap_area = 2.0 * math.pi * (1.0 - math.cos(r_cap))
-        rows = [(0.0, 0.0, 1, 2.0 * math.pi, cap_area, 2.0 * r_cap)]
-        for i in range(n_bands):
-            lo = r_cap + i * h
-            hi = lo + h
-            m = _longitude_count(lo, hi, d)
-            dphi = 2.0 * math.pi / m
-            ct = math.cos(lo) + THETA_FRACTION * (math.cos(hi) - math.cos(lo))
-            rows.append((lo, math.acos(min(1.0, max(-1.0, ct))), m, dphi,
-                         dphi * (math.cos(lo) - math.cos(hi)), rect_diameter(lo, hi, dphi)))
-        rows.append((math.pi - r_cap, math.pi, 1, 2.0 * math.pi, cap_area, 2.0 * r_cap))
-    theta_lo, theta_c, counts, dphi, area, diam = (np.array(col) for col in zip(*rows))
-    grid = BandGrid(theta=theta_c, phi0=PHI_FRACTION * dphi, counts=counts, row_weight=area)
+        lo = r_cap + np.arange(n_bands) * h
+        hi = lo + h
+        m, band_diam = _longitude_counts(lo, hi, d)
+        cos_lo, cos_hi = np.cos(lo), np.cos(hi)
+        ct = np.clip(cos_lo + THETA_FRACTION * (cos_hi - cos_lo), -1.0, 1.0)
+        # math.acos, not np.arccos: the two differ in the last bit, and cells must not move
+        theta_band = [math.acos(x) for x in ct.tolist()]
+        theta_lo = np.concatenate([[0.0], lo, [math.pi - r_cap]])
+        theta_c = np.concatenate([[0.0], theta_band, [math.pi]])
+        counts = np.concatenate([[1], m, [1]])
+        area = np.concatenate([[cap_area], (2.0 * math.pi / m) * (cos_lo - cos_hi), [cap_area]])
+        diam = np.concatenate([[2.0 * r_cap], band_diam, [2.0 * r_cap]])
+    phi0 = PHI_FRACTION * (2.0 * math.pi / np.asarray(counts))
+    grid = BandGrid(theta=theta_c, phi0=phi0, counts=counts, row_weight=area)
     return ScalePartition(j, a, b, d, grid, np.append(theta_lo, math.pi), diam)
 
 
-def _longitude_count(lo, hi, d):
-    """Smallest cell count whose certified rectangle diameter stays below d."""
-    sin_star = math.sin(hi) if hi <= math.pi / 2 else (math.sin(lo) if lo >= math.pi / 2 else 1.0)
-    width = math.sqrt(max(d * d - (hi - lo) ** 2, 0.25 * d * d))
-    m = max(1, int(math.ceil(2.0 * math.pi * sin_star / width)))
-    while rect_diameter(lo, hi, 2.0 * math.pi / m) > d:
-        m += max(1, m // 16)
-    while m > 1 and rect_diameter(lo, hi, 2.0 * math.pi / (m - 1)) <= d:
-        m -= 1
-    return m
+def _longitude_counts(lo, hi, d):
+    """Per row, the smallest cell count whose certified rectangle diameter stays below d.
+
+    Starts from a flat-cell guess, steps up by max(1, m // 16) while the
+    diameter is too big, then down by one while one cell fewer still fits;
+    each pass evaluates only the rows still moving.  Returns the counts
+    and the certified diameters of the cells they give.
+    """
+    sin_star = np.where(hi <= math.pi / 2, np.sin(hi),
+                        np.where(lo >= math.pi / 2, np.sin(lo), 1.0))
+    width = np.sqrt(np.maximum(d * d - (hi - lo) ** 2, 0.25 * d * d))
+    m = np.maximum(1, np.ceil(2.0 * math.pi * sin_star / width)).astype(np.int64)
+    diam = rect_diameter(lo, hi, 2.0 * math.pi / m)
+    rows = np.flatnonzero(diam > d)
+    while rows.size:
+        m[rows] += np.maximum(1, m[rows] // 16)
+        diam[rows] = rect_diameter(lo[rows], hi[rows], 2.0 * math.pi / m[rows])
+        rows = rows[diam[rows] > d]
+    rows = np.flatnonzero(m > 1)
+    while rows.size:
+        fewer = rect_diameter(lo[rows], hi[rows], 2.0 * math.pi / (m[rows] - 1))
+        fits = fewer <= d
+        rows = rows[fits]
+        m[rows] -= 1
+        diam[rows] = fewer[fits]
+        rows = rows[m[rows] > 1]
+    return m, diam
 
 
 # -- greedy maximal-ball construction ------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mexneedlets import HarmonicField, cubature_rule, evaluate_field, field_to_csv, real_sh_matrix
+from mexneedlets import HarmonicField, cubature_rule, evaluate_field, real_sh_matrix
 from mexneedlets.errors import ZeroFieldError
 from mexneedlets.fields import require_nonzero
 from mexneedlets.harmonics import sh_index, sph_to_xyz
@@ -51,13 +51,3 @@ def test_padding_and_guards():
         require_nonzero(HarmonicField.zeros(3))
     with pytest.raises(ValueError):
         HarmonicField(np.zeros(7))  # not a perfect square length
-
-
-def test_field_csv_layout(tmp_path):
-    f = HarmonicField.single_harmonic(1, 0, L=1)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "l,q,coeff"
-    assert len(lines) == 1 + 4
-    assert lines[3] == "1,0,1.0"

@@ -5,15 +5,22 @@ import pytest
 
 from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          apply_summation, build_needlet_frame, build_partition,
-                         coefficients_to_csv, default_scale_window, empirical_frame_bounds,
-                         evaluate_field, frame_element, greedy_ball_partition, kernel_series,
-                         quadratic_form, rayleigh_quotient, spectral_multiplier_energy)
+                         default_scale_window, empirical_frame_bounds, evaluate_field,
+                         frame_element, greedy_ball_partition, kernel_series,
+                         quadratic_form, rayleigh_quotient)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
 from mexneedlets.harmonics import degree_of_index, n_coeffs
 from mexneedlets.sphgrid import BandGrid
 
 MEX1 = SpectralFilter("mexican", 1)
 A13 = 2.0 ** (1.0 / 3.0)
+
+
+def spectral_multiplier_energy(spec, field, j):
+    """Exact ||f(a^{2j} Delta) F||^2 = sum_{l,q} w_j(l)^2 c_{l,q}^2, the Riemann sums' limit."""
+    L = min(spec.L_max, field.L_max)
+    w = spec.weight_vector(j)[degree_of_index(L)]
+    return float(np.sum((w * field.coeffs[: n_coeffs(L)]) ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -194,16 +201,6 @@ def test_band_adequacy_residual():
     assert tight.band_adequacy_residual() < 1e-14
     deep = FrameSpec.build(MEX1, A13, 0.5, L_max=32, j_range=(-15, 3))
     assert deep.band_adequacy_residual() > 1e-14
-
-
-def test_coefficient_csv(tmp_path, spec, field):
-    small = FrameSpec.build(MEX1, A13, 0.9, L_max=4, j_range=(0, 1))
-    coeffs = analyze(small, HarmonicField.random_mean_zero(4, np.random.default_rng(0)))
-    path = tmp_path / "coeffs.csv"
-    coefficients_to_csv(small, coeffs, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,k,center_x,center_y,center_z,measure,coefficient"
-    assert len(lines) == 1 + small.total_cells()
 
 
 def _point_path(frame, field, masks=None):

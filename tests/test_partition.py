@@ -3,12 +3,146 @@ import math
 import numpy as np
 import pytest
 
-from mexneedlets import build_partition, greedy_ball_partition, partition_to_json, rect_diameter
+from mexneedlets import (FrameSpec, SpectralFilter, build_partition, greedy_ball_partition,
+                         partition_to_json, rect_diameter)
+from mexneedlets import partition as partition_module
 from mexneedlets.errors import CellCountOverflowError
-from mexneedlets.partition import MEASURE_CONDITION_DELTA0
+from mexneedlets.partition import MEASURE_CONDITION_DELTA0, PHI_FRACTION, THETA_FRACTION
 from mexneedlets.harmonics import geodesic_distance, sph_to_xyz
 
 A13 = 2.0 ** (1.0 / 3.0)
+# np.arccos, np.arctan and np.tan differ from libm in the last bit, so a
+# certified diameter may sit a few ulp away from the scalar reference
+DIAMETER_ULPS = 4
+
+
+# -- scalar reference: one cell and one band row at a time ----------------
+
+
+def _ref_pair_distance(ta, tb, sep):
+    dot = math.cos(ta) * math.cos(tb) + math.sin(ta) * math.sin(tb) * math.cos(sep)
+    return math.acos(min(1.0, max(-1.0, dot)))
+
+
+def _ref_rect_diameter(theta1, theta2, dphi):
+    sep = min(dphi, math.pi)
+    c = math.cos(sep)
+    best = theta2 - theta1
+    for ta in (theta1, theta2):
+        for tb in (theta1, theta2):
+            best = max(best, _ref_pair_distance(ta, tb, sep))
+    if theta1 <= math.pi / 2 <= theta2:
+        best = max(best, sep)
+    for te in (theta1, theta2):
+        beta = math.atan(c * math.tan(te))
+        if beta <= 0.0:
+            beta += math.pi
+        if theta1 <= beta <= theta2:
+            best = max(best, _ref_pair_distance(te, beta, sep))
+    return best
+
+
+def _ref_longitude_count(lo, hi, d):
+    sin_star = math.sin(hi) if hi <= math.pi / 2 else (math.sin(lo) if lo >= math.pi / 2 else 1.0)
+    width = math.sqrt(max(d * d - (hi - lo) ** 2, 0.25 * d * d))
+    m = max(1, int(math.ceil(2.0 * math.pi * sin_star / width)))
+    while _ref_rect_diameter(lo, hi, 2.0 * math.pi / m) > d:
+        m += max(1, m // 16)
+    while m > 1 and _ref_rect_diameter(lo, hi, 2.0 * math.pi / (m - 1)) <= d:
+        m -= 1
+    return m
+
+
+def _ref_band_rows(d, rows):
+    """Count, theta, row_weight and certified diameter of the given band rows, one at a time."""
+    r_cap = d / 2.0
+    n_bands = max(1, int(math.ceil((math.pi - 2.0 * r_cap) / (d / math.sqrt(2.0)))))
+    h = (math.pi - 2.0 * r_cap) / n_bands
+    out = []
+    for i in rows:
+        lo = r_cap + i * h
+        hi = lo + h
+        m = _ref_longitude_count(lo, hi, d)
+        dphi = 2.0 * math.pi / m
+        ct = math.cos(lo) + THETA_FRACTION * (math.cos(hi) - math.cos(lo))
+        out.append((m, math.acos(min(1.0, max(-1.0, ct))),
+                    dphi * (math.cos(lo) - math.cos(hi)), _ref_rect_diameter(lo, hi, dphi)))
+    return (np.array(col) for col in zip(*out))
+
+
+def _sweep():
+    """(j, a, b) for every scale with 1e-3 <= b a^j < pi over a grid of a and b."""
+    for a in (1.1, A13, 1.2599, math.sqrt(2.0), 2.0):
+        for b in (0.1, 0.25, 0.4, 0.5, 0.6, 0.8, 0.9, 1.0):
+            j_lo = int(math.floor(math.log(1e-3 / b) / math.log(a)))
+            j_hi = int(math.ceil(math.log(math.pi / b) / math.log(a)))
+            for j in range(j_lo, j_hi + 1):
+                if 1e-3 <= b * a ** j < math.pi:
+                    yield j, a, b
+
+
+def test_band_rows_match_the_scalar_reference():
+    """Every partition of the sweep; all rows up to 32 per partition, evenly spaced beyond."""
+    n = 0
+    for j, a, b in _sweep():
+        part = build_partition(j, a, b)
+        n_bands = part.grid.n_rows - 2  # the two polar caps are not band rows
+        rows = np.unique(np.linspace(0, n_bands - 1, min(n_bands, 32)).round().astype(int))
+        counts, theta, row_weight, diam = _ref_band_rows(part.target, rows)
+        grid, band = part.grid, rows + 1
+        assert np.array_equal(grid.counts[band], counts), (j, a, b)
+        assert np.array_equal(grid.theta[band], theta), (j, a, b)
+        assert np.array_equal(grid.row_weight[band], row_weight), (j, a, b)
+        assert np.array_equal(grid.phi0[band], PHI_FRACTION * (2.0 * math.pi / counts)), (j, a, b)
+        certified = part._row_diam[band]  # per row; diameter_bounds() repeats it per cell
+        assert np.all(np.abs(certified - diam) <= DIAMETER_ULPS * np.spacing(diam)), (j, a, b)
+        n += 1
+    assert n == 1499
+
+
+def test_rect_diameter_broadcasts_like_the_reference():
+    rng = np.random.default_rng(5)
+    t1 = rng.uniform(0.001, 3.0, 4000)
+    t2 = np.minimum(t1 + rng.uniform(0.0005, 1.5, t1.size), math.pi - 1e-4)
+    dphi = rng.uniform(0.001, 2.0 * math.pi, t1.size)
+    got = rect_diameter(t1, t2, dphi)
+    ref = np.array([_ref_rect_diameter(*cell) for cell in zip(t1, t2, dphi)])
+    assert got.shape == t1.shape
+    assert np.all(np.abs(got - ref) <= DIAMETER_ULPS * np.spacing(ref))
+    # the equatorial candidate and sep = min(dphi, pi) are exercised
+    assert np.any((t1 <= math.pi / 2) & (math.pi / 2 <= t2) & (dphi > math.pi))
+    one = rect_diameter(t1[0], t2[0], dphi[0])
+    assert type(one) is float and one == got[0]
+
+
+def test_band_build_evaluates_rows_together(monkeypatch):
+    calls = []
+    rect = partition_module.rect_diameter
+    def counted(*cell):
+        calls.append(cell)
+        return rect(*cell)
+
+    monkeypatch.setattr(partition_module, "rect_diameter", counted)
+    part = build_partition(-23, A13, 0.5)
+    assert part.grid.n_rows == 1807
+    assert len(calls) <= 64
+
+
+def _frame_over(j_range):
+    return FrameSpec.build(SpectralFilter("mexican", 1), 2.0, 0.5, 4, j_range=j_range)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: build_partition(math.nan, 2.0, 0.5), r"\bj\b"),
+    (lambda: build_partition(math.inf, 2.0, 0.5), r"\bj\b"),
+    (lambda: build_partition(-math.inf, 2.0, 0.5), r"\bj\b"),
+    (lambda: build_partition(2000, 2.0, 0.5), r"\bj\b"),
+    (lambda: _frame_over((0.5, 2.7)), "j_range"),
+    (lambda: _frame_over((0, math.nan)), "j_range"),
+])
+def test_bad_scales_are_rejected(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_rect_diameter_against_boundary_sampling():
