@@ -9,8 +9,7 @@ tight cutoff-needlet comparison at desk scale.
 from .filters import SpectralFilter, calderon_constant, parse_filter
 from .daubechies import (DaubechiesBounds, daubechies_bounds, daubechies_sum,
                          eigen_daubechies_sum, truncated_daubechies_sum)
-from .harmonics import (legendre_eval, legendre_table, multiplicity, real_sh_matrix,
-                        sh_index, sphere_eigenvalue)
+from .harmonics import multiplicity, real_sh_matrix, sh_index, sphere_eigenvalue
 from .fields import HarmonicField, evaluate_field
 from .cubature import CubatureRule, cubature_rule, cubature_to_csv
 from .partition import (GreedyPartition, ScalePartition, build_partition,

@@ -52,11 +52,6 @@ def cubature_rule(m):
     return CubatureRule(degree=int(m), grid=grid)
 
 
-def harmonic_residuals(rule, L):
-    """Cubature applied to every Y_{l,q} with l <= L; exact rules return ~0 for l >= 1."""
-    return rule.grid.adjoint(rule.grid.point_weights(), L)
-
-
 def cubature_to_csv(rule, path):
     """Write nodes and weights as 'x,y,z,weight' rows."""
     nodes = rule.nodes

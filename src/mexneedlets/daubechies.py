@@ -31,11 +31,11 @@ def _ladder_step(filt, a):
     return a ** filt.dilation_exponent
 
 
-def daubechies_sum(filt, a, lam, tail_rel=_TAIL_REL):
+def daubechies_sum(filt, a, lam):
     """Full two-sided ladder sum g(lam) = sum_j |f(sigma^j lam)|^2.
 
     Each tail is extended until two consecutive terms fall below
-    ``tail_rel`` relative to the running sum; beyond its single interior
+    ``_TAIL_REL`` relative to the running sum; beyond its single interior
     peak the mexican summand decreases monotonically in both directions,
     so this certifies the truncation.  Cutoff filters terminate exactly.
     """
@@ -51,7 +51,7 @@ def daubechies_sum(filt, a, lam, tail_rel=_TAIL_REL):
             x *= direction
             term = float(filt(x)) ** 2
             total += term
-            if term <= tail_rel * total:
+            if term <= _TAIL_REL * total:
                 small += 1
                 if small >= 2:
                     break
@@ -69,7 +69,7 @@ def _peak_rung(lam, sigma):
     return lam * sigma ** (-round(math.log(lam) / math.log(sigma)))
 
 
-def _ladder_sums(filt, a, lams, tail_rel=_TAIL_REL):
+def _ladder_sums(filt, a, lams):
     """``daubechies_sum`` at every lam at once, bit-identical to one call per lam.
 
     All ladders are walked together, each until its own two-consecutive-
@@ -87,7 +87,7 @@ def _ladder_sums(filt, a, lams, tail_rel=_TAIL_REL):
             x[live] *= direction
             term = np.float_power(filt(x[live]), 2)
             total[live] += term
-            small[live] = np.where(term <= tail_rel * total[live], small[live] + 1, 0)
+            small[live] = np.where(term <= _TAIL_REL * total[live], small[live] + 1, 0)
             live = live[small[live] < 2]
             if live.size == 0:
                 break

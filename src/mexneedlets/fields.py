@@ -29,12 +29,11 @@ class HarmonicField:
         return field
 
     @classmethod
-    def random_mean_zero(cls, L, rng, normalize=True):
-        """I.i.d. standard normal coefficients with the constant mode zeroed."""
+    def random_mean_zero(cls, L, rng):
+        """Unit field from i.i.d. standard normal coefficients, constant mode zeroed."""
         coeffs = rng.standard_normal(n_coeffs(L))
         coeffs[0] = 0.0
-        if normalize:
-            coeffs /= np.linalg.norm(coeffs)
+        coeffs /= np.linalg.norm(coeffs)
         return cls(coeffs)
 
     def coeff(self, l, q):
@@ -49,14 +48,6 @@ class HarmonicField:
 
     def copy(self):
         return HarmonicField(self.coeffs.copy())
-
-    def padded(self, L):
-        """Same field viewed at a larger band limit."""
-        if L < self.L_max:
-            raise ValueError("cannot pad to a smaller band limit")
-        out = np.zeros(n_coeffs(L))
-        out[: self.coeffs.size] = self.coeffs
-        return HarmonicField(out)
 
     def __repr__(self):
         return "HarmonicField(L_max=%d, norm=%.6g)" % (self.L_max, self.norm())

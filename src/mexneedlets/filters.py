@@ -28,6 +28,7 @@ from .errors import CalderonDivergenceError
 BUMP_SUPPORT = (0.5, 2.0)
 _BUMP_CENTER = 1.25
 _BUMP_RADIUS_SQ = 9.0 / 16.0
+_CALDERON_REL_TOL = 1e-10
 
 
 def _bump(s):
@@ -155,7 +156,7 @@ def parse_filter(spec):
     raise ValueError("unknown filter %r" % (spec,))
 
 
-def calderon_constant(filt, rel_tol=1e-10):
+def calderon_constant(filt):
     """Calderon constant c = int_0^inf |f(t)|^2 dt/t on the filter's own axis.
 
     Computed after the substitution t = e^u, which makes the mexican
@@ -174,5 +175,5 @@ def calderon_constant(filt, rel_tol=1e-10):
         v = filt(math.exp(u))
         return v * v
 
-    value, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=400)
+    value, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=_CALDERON_REL_TOL, limit=400)
     return value

@@ -40,19 +40,20 @@ from .partition import ScalePartition, build_partition
 ADEQUACY_EPS = 1e-6
 
 
-def default_scale_window(filt, a, L_max, eps=ADEQUACY_EPS):
+def default_scale_window(filt, a, L_max):
     """Smallest scale window [j_lo, j_hi] capturing the ladder sums.
 
-    Chosen so that the windowed ladder sum retains a (1 - eps) fraction
-    of the full sum at every eigenvalue carried by the band limit; the
-    low-j edge is driven by lambda_{L_max}, the high-j edge by lambda_1.
+    Chosen so that the windowed ladder sum retains a (1 - ADEQUACY_EPS)
+    fraction of the full sum at every eigenvalue carried by the band
+    limit; the low-j edge is driven by lambda_{L_max}, the high-j edge by
+    lambda_1.
     """
     lam_hi = sphere_eigenvalue(L_max)
     lam_lo = sphere_eigenvalue(1)
 
     def tail_edge(lam, direction):
         g = eigen_daubechies_sum(filt, a, lam)
-        budget = 0.5 * eps * g
+        budget = 0.5 * ADEQUACY_EPS * g
         floor = 1e-25 * g
         j_peak = int(round(-math.log(lam) / (2.0 * math.log(a))))
         js, terms = [], []
@@ -95,13 +96,13 @@ class FrameSpec:
         self._weights = {}
 
     @classmethod
-    def build(cls, filt, a, b, L_max, j_range=None, adequacy_eps=ADEQUACY_EPS):
+    def build(cls, filt, a, b, L_max, j_range=None):
         if a <= 1:
             raise ValueError("dilation a must be > 1")
         if L_max < 1:
             raise ValueError("band limit must be at least 1")
         if j_range is None:
-            j_range = default_scale_window(filt, a, L_max, adequacy_eps)
+            j_range = default_scale_window(filt, a, L_max)
         if not all(float(j).is_integer() for j in j_range):
             raise ValueError("j_range entries must be integers, got %r" % (tuple(j_range),))
         j_lo, j_hi = int(j_range[0]), int(j_range[1])

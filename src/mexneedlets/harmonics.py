@@ -1,4 +1,4 @@
-"""Sphere eigendata, Legendre polynomials and real spherical harmonics.
+"""Sphere eigendata, associated Legendre tables and real spherical harmonics.
 
 The real orthonormal basis Y_{l,q} (0 <= l, -l <= q <= l) is normalized
 against the raw area measure on S^2, so that
@@ -30,35 +30,6 @@ def multiplicity(l):
     if l < 0 or int(l) != l:
         raise ValueError("degree l must be a nonnegative integer")
     return 2 * l + 1
-
-
-def legendre_eval(l, x):
-    """P_l(x) by the stable three-term recurrence; x scalar or array in [-1, 1]."""
-    if l < 0 or int(l) != l:
-        raise ValueError("degree l must be a nonnegative integer")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
-    p_prev = np.ones(x.shape)
-    if l == 0:
-        return float(p_prev) if scalar else p_prev
-    p_cur = x.copy()
-    for n in range(1, l):
-        p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-    return float(p_cur) if scalar else p_cur
-
-
-def legendre_table(L, x):
-    """All P_l(x) for 0 <= l <= L; shape (L+1,) + x.shape."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((L + 1,) + x.shape)
-    out[0] = 1.0
-    if L >= 1:
-        out[1] = x
-    for n in range(1, L):
-        out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
-    return out
 
 
 def n_coeffs(L):

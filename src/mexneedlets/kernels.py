@@ -161,15 +161,14 @@ class KernelProfile:
                                  repr(self.t), self.filter_name])
 
 
-def kernel_profile(filt, t, n_theta, method="auto", tol=1e-8,
-                   t_cross=DEFAULT_T_CROSS, convention="laplacian"):
+def kernel_profile(filt, t, n_theta, method="auto", tol=1e-8, convention="laplacian"):
     """Profile of 4 pi h_t over a uniform theta grid on [-pi, pi]."""
     if n_theta < 2:
         raise ValueError("need at least two grid points")
     thetas = np.linspace(-math.pi, math.pi, int(n_theta))
     if method == "auto":
-        method = ("gaussian" if (filt.is_mexican and filt.r == 1
-                                 and convention == "laplacian" and t < t_cross) else "series")
+        method = ("gaussian" if (filt.is_mexican and filt.r == 1 and convention == "laplacian"
+                                 and t < DEFAULT_T_CROSS) else "series")
     if method == "gaussian":
         values = kernel_gaussian_approx(t, thetas, filt)
     elif method == "series":

@@ -24,32 +24,25 @@ from .cubature import cubature_rule
 from .errors import ZeroFieldError
 from .frame import analyze, frame_element, quadratic_form
 
-
-def _nu(ls, convention):
-    ls = np.asarray(ls, dtype=float)
-    if convention == "degree":
-        return ls
-    if convention == "sqrt_laplacian":
-        return np.sqrt(ls * (ls + 1.0))
-    raise ValueError("convention must be 'degree' or 'sqrt_laplacian'")
+SPHERE_DIM = 2  # n of S^n in the hybrid estimates; the library works on S^2
+_CROSSING_TOL = 1e-10
 
 
 @dataclass
 class NeedletScale:
     j: int
     l_cut: int
-    weights: np.ndarray  # g(2^j nu_l) for l = 0..l_cut
+    weights: np.ndarray  # g(2^j l) for l = 0..l_cut
     rule: object
 
 
 @dataclass
 class NeedletFrame:
     filter: object
-    convention: str
     scales: list = dataclass_field(default_factory=list)
 
     def terms(self):
-        """[(j, cubature grid with cubature weights, g(2^j nu_l) for l <= l_cut)]."""
+        """[(j, cubature grid with cubature weights, g(2^j l) for l <= l_cut)]."""
         return [(s.j, s.rule.grid, s.weights) for s in self.scales]
 
     def coverage_limit(self):
@@ -67,40 +60,38 @@ class NeedletFrame:
         return L
 
 
-def build_needlet_frame(g, j_min, j_max, convention="degree"):
+def build_needlet_frame(g, j_min, j_max):
     """Needlet frame for scales j_min..j_max with cut degrees l(j).
 
-    l(j) is the largest degree with 2^j nu_l inside the filter support,
-    and each scale carries a cubature rule of degree 2 l(j), exact for
-    the squared band projections.
+    l(j) = ceil(2^{-j} s_hi) - 1 is the largest degree l with 2^j l below
+    the support edge s_hi of g, and each scale carries a cubature rule of
+    degree 2 l(j), exact for the squared band projections.
     """
     if g.kind != "normalized_cutoff":
         raise ValueError("needlet frame requires the normalized cutoff filter")
+    for name, value in (("j_min", j_min), ("j_max", j_max)):
+        if not float(value).is_integer():
+            raise ValueError("%s must be an integer, got %r" % (name, value))
     if j_max < j_min:
         raise ValueError("empty scale range")
     hi = g.support[1]
     scales = []
     for j in range(int(j_min), int(j_max) + 1):
         t = 2.0 ** j
-        if convention == "degree":
-            l_cut = int(math.ceil(hi / t)) - 1
-        else:
-            l_cut = int(math.floor((-1.0 + math.sqrt(1.0 + 4.0 * (hi / t) ** 2)) / 2.0))
-            while t * math.sqrt(l_cut * (l_cut + 1.0)) >= hi:
-                l_cut -= 1
+        l_cut = int(math.ceil(hi / t)) - 1
         if l_cut < 1:
             continue  # scale carries no degree >= 1
         if l_cut > 512:
             raise ValueError("cut degree %d beyond desk scale at j=%d" % (l_cut, j))
         ls = np.arange(l_cut + 1)
-        weights = g(t * _nu(ls, convention))
+        weights = g(t * ls.astype(float))
         weights[0] = 0.0
         scales.append(NeedletScale(j=j, l_cut=l_cut, weights=weights,
                                    rule=cubature_rule(2 * l_cut)))
-    return NeedletFrame(filter=g, convention=convention, scales=scales)
+    return NeedletFrame(filter=g, scales=scales)
 
 
-# phi_{j,i} = lambda_i^{1/2} sum_l g(2^j nu_l) Y_l(x_i) Y_l is frame.py's element
+# phi_{j,i} = lambda_i^{1/2} sum_l g(2^j l) Y_l(x_i) Y_l is frame.py's element
 # with cubature nodes and weights in place of cell centers and measures.
 needlet_analyze = analyze
 needlet_frame_element = frame_element
@@ -150,22 +141,22 @@ def _require_finite(**values):
             raise ValueError("%s must be finite, got %r" % (name, value))
 
 
-def crossing_bracket(N, r, l, a, n=2):
+def crossing_bracket(N, r, l, a):
     """Logarithmic bracket [p, q] for the scale-crossing index."""
     _require_finite(N=N, r=r, l=l, a=a)
     if N < 1 or r < 1 or l < 1 or a <= 1:
         raise ValueError("need N >= 1, r >= 1, l >= 1, a > 1")
-    p = 0.5 * math.log(N / (l * (l + n - 1.0))) / math.log(a)
+    p = 0.5 * math.log(N / (l * (l + SPHERE_DIM - 1.0))) / math.log(a)
     q = 0.5 * math.log(r * N / l) / math.log(a)
     return p, q
 
 
-def crossing_index(N, r, l, a, tol=1e-10):
+def crossing_index(N, r, l, a):
     """Root m of a^{2m} l(l+1) = N + r max(-m, 0), by bisection.
 
     The left side increases in m and the right side does not, so the
     root is unique; the returned value satisfies the defining equation
-    to within ``tol``.
+    to within ``_CROSSING_TOL``.
     """
     p, q = crossing_bracket(N, r, l, a)
     lam = l * (l + 1.0)
@@ -178,7 +169,7 @@ def crossing_index(N, r, l, a, tol=1e-10):
         lo -= 5.0
     while resid(hi) < 0:
         hi += 5.0
-    while hi - lo > tol:
+    while hi - lo > _CROSSING_TOL:
         mid = 0.5 * (lo + hi)
         if resid(mid) < 0:
             lo = mid
@@ -187,28 +178,28 @@ def crossing_index(N, r, l, a, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def hybrid_rate(a, n=2):
+def hybrid_rate(a):
     """Linear growth rate r = max(1, 2(n+2) ln a) of the hybrid cut rule."""
     if not math.isfinite(a):
         raise ValueError("dilation a must be finite")
     if a <= 1:
         raise ValueError("need a > 1")
-    return max(1.0, 2.0 * (n + 2) * math.log(a))
+    return max(1.0, 2.0 * (SPHERE_DIM + 2) * math.log(a))
 
 
-def hybrid_cut_degree(j, N, a, n=2):
+def hybrid_cut_degree(j, N, a):
     """Per-scale cut degree: least integer above sqrt(N + r (j-1)_-) / a^{j-1}."""
     if not math.isfinite(N):
         raise ValueError("N must be finite, got %r" % (N,))
     if N < 1 or a <= 1:
         raise ValueError("need N >= 1 and a > 1")
-    r = hybrid_rate(a, n)
+    r = hybrid_rate(a)
     jm = max(1 - j, 0)
     x = math.sqrt(N + r * jm) / a ** (j - 1)
     return int(math.floor(x)) + 1
 
 
-def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000, n=2):
+def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000):
     """Numerical tail sums of the hybrid construction for one N.
 
     eps3 = max_s sum over a^{2j} > N a^2 / s of |f(a^{2j} s)|^2 (mexican
@@ -222,7 +213,7 @@ def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000, n=2):
         raise ValueError("N must be finite, got %r" % (N,))
     if N <= 1:
         raise ValueError("need N > 1")
-    r = hybrid_rate(a, n)
+    r = hybrid_rate(a)
 
     def scale_tail(s, threshold):
         # sum |f(a^{2j} s)|^2 over scales with a^{2j} s > threshold(j)
@@ -250,7 +241,7 @@ def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000, n=2):
 
     eps4 = 0.0
     for l in range(1, int(l_max) + 1):
-        lam = l * (l + n - 1.0)
+        lam = l * (l + SPHERE_DIM - 1.0)
         eps4 += (2 * l + 1) * scale_tail(lam, beyond_cut)
     return {
         "N": N,
@@ -259,5 +250,5 @@ def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000, n=2):
         "eps3": eps3,
         "eps4": eps4,
         "eps3_ratio": eps3 / (math.exp(-N) * N),
-        "eps4_ratio": eps4 / (math.exp(-N) * N ** (n + 3)),
+        "eps4_ratio": eps4 / (math.exp(-N) * N ** (SPHERE_DIM + 3)),
     }

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .daubechies import daubechies_bounds, eigen_daubechies_sum, truncated_daubechies_sum
+from .daubechies import eigen_daubechies_sum, truncated_daubechies_sum
 from .fields import evaluate_field
 from .frame import _check_field, apply_summation, quadratic_form
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs, sphere_eigenvalue
@@ -67,8 +67,8 @@ class FrequencyBoundReport:
     measured_error: float = None
 
 
-def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, bounds=None):
-    """Computable part of the frequency truncation bound (no C0 b term)."""
+def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, *, bounds):
+    """Computable part of the frequency truncation bound (no C0 b term); B_a = bounds.B."""
     for name, value in (("J", J), ("L", L), ("M", M), ("N", N),
                         ("tail_norm", tail_norm), ("F_norm", F_norm)):
         if not math.isfinite(value):
@@ -88,8 +88,6 @@ def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, bounds=None):
     c_prime = (L ** (2 * l)) * f0_sup ** 2 / (a ** (4 * l) - 1.0)
     m_j = moment_constant(spec.filter, J)
     c_prime_j = m_j ** 2 / ((a ** (4 * J) - 1.0) * SPHERE_LAMBDA_1 ** (2 * J))
-    if bounds is None:
-        bounds = daubechies_bounds(spec.filter, a)
     bound = (c_prime / a ** (4 * M * l) + c_prime_j / a ** (4 * N * J)) * F_norm \
         + 2.0 * bounds.B * tail_norm
     return FrequencyBoundReport(M=int(M), N=int(N), L=float(L), l=int(l), J=int(J),
@@ -128,7 +126,7 @@ def window_margin(spec, M, N):
     return worst
 
 
-def fit_riemann_constant(spec, fields, M, N, J=1, bounds=None):
+def fit_riemann_constant(spec, fields, M, N, J=1, *, bounds):
     """Estimate of the non-constructive Riemann constant from calibration runs.
 
     C0_est = max_F (measured - bound_without_C0b) / (b ||F||), clamped at 0.
@@ -156,8 +154,11 @@ class GeodesicCap:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and np.all(np.isfinite(self.center))):
-            raise ValueError("cap center and radius must be finite")
+        center = np.asarray(self.center, dtype=float)
+        norm = np.linalg.norm(center) if center.shape == (3,) else math.nan
+        if not (math.isfinite(self.radius) and math.isfinite(norm) and norm > 0.0):
+            raise ValueError("cap needs a finite radius and a finite nonzero 3-vector center")
+        object.__setattr__(self, "center", center / norm)
 
     @property
     def area(self):
@@ -210,8 +211,7 @@ def _off_cap_energy(field, cap):
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))
     n_phi = 2 * L + 1
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    c = np.asarray(cap.center, dtype=float)
-    c = c / np.linalg.norm(c)
+    c = cap.center
     e1 = np.cross(c, [1.0, 0.0, 0.0] if abs(c[0]) < 0.9 else [0.0, 1.0, 0.0])
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(c, e1)
@@ -262,7 +262,7 @@ class SpatialTruncationReport:
     dropped_quadratic_form: float
 
 
-def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None):
+def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, *, b_emp):
     """Measured spatial truncation error against its structural envelope.
 
     ``measured`` is ||S F - S_kept F|| and ``dropped_quadratic_form`` is
@@ -270,8 +270,8 @@ def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None)
     ``spatial_index_set``.  ``structural_factor`` is
     [mu(Gamma) sum_j a^{-2j} c_j^{2-2I}]^{1/2} ||chi F|| with the
     approximate on-cap energy of ``cap_energy_split``.  ``leakage`` is
-    b_emp ||(1-chi) F||, exact in the off-cap energy; b_emp defaults to a
-    20-trial empirical upper frame bound.
+    b_emp ||(1-chi) F||, exact in the off-cap energy, with b_emp an upper
+    frame bound (the CLI passes a 20-trial empirical one).
     """
     field = _check_field(spec, field)
     masks = spatial_index_set(spec, cap, c_by_scale)
@@ -284,9 +284,6 @@ def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, b_emp=None)
         c_j = c_by_scale[j] if not np.isscalar(c_by_scale) else float(c_by_scale)
         structural_sum += spec.a ** (-2 * j) * c_j ** (2.0 - 2.0 * I_decay)
     structural = math.sqrt(cap.area * structural_sum) * math.sqrt(chi_sq)
-    if b_emp is None:
-        from .frame import empirical_frame_bounds
-        b_emp = empirical_frame_bounds(spec, trials=20, seed=0).upper
     leakage = b_emp * math.sqrt(leak_sq)
     kept = int(sum(int(np.sum(masks[j])) for j in spec.scales))
     total = spec.total_cells()

@@ -18,7 +18,6 @@ from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
                          measured_truncation_error, quadratic_form, spatial_index_set,
                          spectral_tail_norm, tail_bound_lhs_rhs, tightness_ratio,
                          window_margin)
-from mexneedlets.cubature import harmonic_residuals
 from mexneedlets.harmonics import geodesic_distance, sh_index
 from mexneedlets.kernels import kernel_gaussian_approx
 from mexneedlets.partition import MEASURE_CONDITION_DELTA0
@@ -58,7 +57,7 @@ def test_criterion_3_kernel_cross_validation():
 
 
 def test_criterion_4_needlet_tightness():
-    frame = build_needlet_frame(NORM, -5, 0, convention="degree")
+    frame = build_needlet_frame(NORM, -5, 0)
     assert frame.coverage_limit() >= 32
     rng = np.random.default_rng(4)
     worst = 0.0
@@ -201,10 +200,10 @@ def test_criterion_9_partition_axioms():
     assert np.min(dist) >= 2 * t  # disjoint inner balls
 
     rule = cubature_rule(8)
-    res = harmonic_residuals(rule, 8)
+    res = rule.grid.adjoint(rule.grid.point_weights(), 8)
     worst_res = max(np.max(np.abs(res[l * l:(l + 1) * (l + 1)])) for l in range(1, 9))
     assert worst_res <= 1e-10
-    res10 = harmonic_residuals(rule, 10)
+    res10 = rule.grid.adjoint(rule.grid.point_weights(), 10)
     assert np.max(np.abs(res10[100:121])) > 1e-6  # negative control at m+2
     report(9, "%d band partitions: disjoint cover, certified diameters, "
               "uniform c0 = %.3f > 0.05; greedy witness valid; cubature exact to "

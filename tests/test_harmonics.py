@@ -1,51 +1,12 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
-from mexneedlets import legendre_eval, legendre_table, multiplicity, real_sh_matrix, sphere_eigenvalue
+from mexneedlets import multiplicity, real_sh_matrix, sphere_eigenvalue
 from mexneedlets.harmonics import (geodesic_distance, n_coeffs, norm_assoc_legendre, sh_index,
                                    sph_to_xyz)
-
-
-def exact_legendre_coefficients(L):
-    """Rodrigues-style oracle: exact rational coefficients via the recurrence."""
-    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for n in range(1, L):
-        prev, cur = polys[n - 1], polys[n]
-        nxt = [Fraction(0)] * (n + 2)
-        for k, c in enumerate(cur):
-            nxt[k + 1] += Fraction(2 * n + 1, n + 1) * c
-        for k, c in enumerate(prev):
-            nxt[k] -= Fraction(n, n + 1) * c
-        polys.append(nxt)
-    return polys
-
-
-def test_legendre_base_cases():
-    xs = np.linspace(-1, 1, 11)
-    assert np.all(legendre_eval(0, xs) == 1.0)
-    assert np.allclose(legendre_eval(1, xs), xs)
-    for l in range(21):
-        assert legendre_eval(l, 1.0) == pytest.approx(1.0, abs=1e-13)
-    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-
-
-def test_legendre_against_exact_coefficients():
-    polys = exact_legendre_coefficients(20)
-    for x in (0.3, -0.77, 0.999, 0.0):
-        xf = Fraction(x).limit_denominator(10 ** 12)
-        for l in (2, 7, 13, 20):
-            exact = float(sum(c * xf ** k for k, c in enumerate(polys[l])))
-            assert legendre_eval(l, float(xf)) == pytest.approx(exact, abs=1e-12)
-
-
-def test_legendre_table_matches_pointwise():
-    xs = np.linspace(-1, 1, 7)
-    table = legendre_table(15, xs)
-    for l in (0, 3, 9, 15):
-        assert np.allclose(table[l], legendre_eval(l, xs), atol=1e-14)
 
 
 def test_sphere_eigendata():
@@ -54,8 +15,6 @@ def test_sphere_eigendata():
     assert (sphere_eigenvalue(10), multiplicity(10)) == (110.0, 21)
     with pytest.raises(ValueError):
         sphere_eigenvalue(-1)
-    with pytest.raises(ValueError):
-        legendre_eval(3, 1.5)
 
 
 def test_low_degree_harmonics_closed_forms():
@@ -82,7 +41,7 @@ def test_addition_theorem():
         Yy = real_sh_matrix(12, y[None])[0]
         for l in (1, 6, 12):
             got = sum(Yx[sh_index(l, q)] * Yy[sh_index(l, q)] for q in range(-l, l + 1))
-            expect = (2 * l + 1) / (4 * math.pi) * legendre_eval(l, float(np.dot(x, y)))
+            expect = (2 * l + 1) / (4 * math.pi) * eval_legendre(l, float(np.dot(x, y)))
             assert got == pytest.approx(expect, abs=1e-12)
 
 

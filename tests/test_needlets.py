@@ -16,7 +16,7 @@ A13 = 2.0 ** (1.0 / 3.0)
 
 @pytest.fixture(scope="module")
 def frame():
-    return build_needlet_frame(NORM, -5, 0, convention="degree")
+    return build_needlet_frame(NORM, -5, 0)
 
 
 def test_cut_degrees_and_support(frame):
@@ -51,7 +51,8 @@ def test_summation_operator_is_identity_on_covered_fields(frame):
     F = HarmonicField.random_mean_zero(L, np.random.default_rng(5))
     SF = apply_summation(frame, F)
     assert SF.L_max == max(s.l_cut for s in frame.scales)
-    assert np.linalg.norm(SF.coeffs - F.padded(SF.L_max).coeffs) <= 1e-12 * F.norm()
+    padded = np.pad(F.coeffs, (0, SF.coeffs.size - F.coeffs.size))
+    assert np.linalg.norm(SF.coeffs - padded) <= 1e-12 * F.norm()
 
 
 def test_field_above_largest_cut_is_rejected(frame):
@@ -61,7 +62,8 @@ def test_field_above_largest_cut_is_rejected(frame):
         needlet_analyze(frame, F)
     # zero padding above the band is not content
     inside = HarmonicField.random_mean_zero(band, np.random.default_rng(6))
-    padded = needlet_analyze(frame, inside.padded(band + 1))
+    # degree band + 1 holds 2 band + 3 coefficients
+    padded = needlet_analyze(frame, HarmonicField(np.pad(inside.coeffs, (0, 2 * band + 3))))
     for j, values in needlet_analyze(frame, inside).items():
         assert np.array_equal(padded[j], values)
 
@@ -92,18 +94,6 @@ def test_analysis_coefficient_consistency(frame):
     assert total == pytest.approx(F.norm() ** 2, rel=1e-12)
 
 
-def test_sqrt_laplacian_convention():
-    fr = build_needlet_frame(NORM, -4, 0, convention="sqrt_laplacian")
-    for scale in fr.scales:
-        t = 2.0 ** scale.j
-        nu = math.sqrt((scale.l_cut + 1) * (scale.l_cut + 2.0))
-        assert t * nu >= 2.0  # first degree past the cut is outside support
-    L = fr.coverage_limit()
-    assert L >= 1
-    F = HarmonicField.random_mean_zero(L, np.random.default_rng(3))
-    assert tightness_ratio(fr, F) == pytest.approx(1.0, abs=1e-8)
-
-
 def test_needlet_guards():
     with pytest.raises(ValueError):
         build_needlet_frame(SpectralFilter("mexican", 1), -3, 0)
@@ -111,6 +101,15 @@ def test_needlet_guards():
         build_needlet_frame(NORM, -9, 0)  # cut degree beyond desk scale
     with pytest.raises(ValueError):
         build_needlet_frame(NORM, 0, -1)
+
+
+@pytest.mark.parametrize("j_min, j_max, name", [
+    (-3.5, 0, "j_min"), (-3, 0.7, "j_max"), (math.nan, 0, "j_min"),
+    (-3, math.nan, "j_max"), (-math.inf, 0, "j_min"), (-3, math.inf, "j_max"),
+])
+def test_needlet_scale_bounds_must_be_integers(j_min, j_max, name):
+    with pytest.raises(ValueError, match=name):
+        build_needlet_frame(NORM, j_min, j_max)
 
 
 def test_tail_bound_values_and_inequality():

@@ -241,3 +241,18 @@ def test_cap_rejects_non_finite_parameters():
                            (np.array([0.0, math.nan, 1.0]), 0.5)):
         with pytest.raises(ValueError):
             GeodesicCap(center=center, radius=radius)
+
+
+def test_cap_center_is_normalised(spatial_spec, cap_field):
+    unit = GeodesicCap(center=NORTH, radius=0.6)
+    scaled = GeodesicCap(center=2.0 * NORTH, radius=0.6)
+    assert np.array_equal(scaled.center, NORTH)
+    for c in (0.5, 2.0):
+        masks = spatial_index_set(spatial_spec, unit, c)
+        scaled_masks = spatial_index_set(spatial_spec, scaled, c)
+        assert all(np.array_equal(masks[j], scaled_masks[j]) for j in spatial_spec.scales)
+    energies = cap_energy_split(spatial_spec, cap_field, unit)
+    assert cap_energy_split(spatial_spec, cap_field, scaled) == energies
+    for center in (np.zeros(3), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError):
+            GeodesicCap(center=center, radius=0.6)
