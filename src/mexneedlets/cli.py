@@ -217,8 +217,8 @@ def cmd_truncation(args):
 
 
 def cmd_spatial(args):
-    spec = _build_spec(args)
     cap = GeodesicCap(center=np.array([0.0, 0.0, 1.0]), radius=args.cap_radius)
+    spec = _build_spec(args)
     # cap-localized test field: heat-type bell at the cap center
     coeffs = np.zeros((spec.L_max + 1) ** 2)
     for l in range(1, spec.L_max + 1):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .filters import calderon_constant
 
@@ -147,6 +146,8 @@ def daubechies_bounds(filt, a, grid_points=256):
     h = period / grid_points
 
     def refine(i, sign):
+        from scipy.optimize import minimize_scalar
+
         center = us[i]
         res = minimize_scalar(
             lambda u: sign * g_of_u(u),

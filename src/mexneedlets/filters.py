@@ -21,7 +21,6 @@ the eigenvalue ``lam`` at scale ``t`` in either convention.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CalderonDivergenceError
 
@@ -164,6 +163,8 @@ def calderon_constant(filt):
     :class:`CalderonDivergenceError` when the filter does not vanish at 0,
     in which case the integral diverges logarithmically.
     """
+    from scipy.integrate import quad
+
     if filt.vanishing_order == 0:
         raise CalderonDivergenceError("integral diverges at 0 for vanishing order 0")
     if filt.is_mexican:

@@ -22,8 +22,12 @@ sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
 (``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
 meets order m' only where n divides m - m' or m + m', grouped by
 n_eff = min(n, L_in + L_out + 1)).  A mask selects single points, so a scale
-listed in ``masks`` goes through point values (``synthesis`` then ``adjoint``),
-as do ``analyze`` and the elements.
+listed in ``masks`` goes through point values, synthesized once and read
+by both the form and the summation, as do ``analyze`` and the elements.
+
+The per-scale sums take a coefficient block of k fields as readily as one
+field (the grids' batch axis), so ``empirical_frame_bounds`` sends all its
+seeded trial fields through each scale's Fourier-order operator together.
 """
 
 import math
@@ -36,6 +40,7 @@ from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
 from .harmonics import degree_of_index, n_coeffs, real_sh_matrix, sphere_eigenvalue
 from .partition import ScalePartition, build_partition
+from .sphgrid import _band
 
 ADEQUACY_EPS = 1e-6
 
@@ -158,19 +163,18 @@ def _check_field(frame, field):
     return field
 
 
-def _weighted(w, field):
-    """Coefficients w(l) c_{l,q} for l <= min(L_j, field band)."""
-    L = min(len(w) - 1, field.L_max)
-    return w[degree_of_index(L)] * field.coeffs[: n_coeffs(L)]
+def _weighted(w, coeffs):
+    """w(l) c_{l,q} for l <= min(L_j, band) of a coefficient vector or of each block column."""
+    L = min(len(w) - 1, _band(coeffs))
+    return (w[degree_of_index(L)] * coeffs[: n_coeffs(L)].T).T
 
 
-def _scale_terms(frame, field, scales=None):
-    """Yield (j, grid, w_j, w_j(l) c_{l,q}) per selected scale."""
-    field = _check_field(frame, field)
+def _scale_terms(frame, coeffs, scales=None):
+    """Yield (j, grid, w_j, w_j(l) c_{l,q}) per selected scale for a vector or block."""
     use = None if scales is None else set(scales)
     for j, grid, w in frame.terms():
         if use is None or j in use:
-            yield j, grid, w, _weighted(w, field)
+            yield j, grid, w, _weighted(w, coeffs)
 
 
 def _masked_weights(grid, masks, j):
@@ -183,7 +187,7 @@ def _masked_weights(grid, masks, j):
 def analyze(frame, field):
     """All coefficients <F, phi_{j,k}> = mu_{j,k}^{1/2} [w_j(M) F](x_{j,k}), per scale."""
     return {j: np.sqrt(grid.point_weights()) * grid.synthesis(c)
-            for j, grid, _, c in _scale_terms(frame, field)}
+            for j, grid, _, c in _scale_terms(frame, _check_field(frame, field).coeffs)}
 
 
 def frame_element(frame, j, k):
@@ -197,31 +201,37 @@ def frame_element(frame, j, k):
     raise ValueError("no such scale in the frame")
 
 
+def _restricted(frame, coeffs, scales=None, masks=None, form=True, summation=True):
+    """(<S_I F, F>, S_I F) over the selected index set; None for a part not asked for.
+
+    ``coeffs`` is one field's coefficient vector, or a block of fields when
+    no scale is masked.  An unmasked scale stays in Fourier-order space; a
+    masked scale synthesizes its point values once for both parts.
+    """
+    total = 0.0 if form else None
+    out = np.zeros((n_coeffs(_band_limit(frame)),) + coeffs.shape[1:]) if summation else None
+    for j, grid, w, c in _scale_terms(frame, coeffs, scales):
+        L = len(w) - 1
+        mu = _masked_weights(grid, masks, j)
+        values = None if mu is None else grid.synthesis(c)
+        if form:
+            total = total + (grid.energy(c) if mu is None else float(np.dot(mu, values * values)))
+        if summation:
+            Sc = grid.normal(c, L) if mu is None else grid.adjoint(mu * values, L)
+            out[: n_coeffs(L)] += (w[degree_of_index(L)] * Sc.T).T
+    return total, out
+
+
 def quadratic_form(frame, field, scales=None, masks=None):
     """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over the selected index set."""
-    total = 0.0
-    for j, grid, _, c in _scale_terms(frame, field, scales):
-        mu = _masked_weights(grid, masks, j)
-        if mu is None:
-            total += grid.energy(c)
-        else:
-            values = grid.synthesis(c)
-            total += float(np.dot(mu, values * values))
-    return total
+    return _restricted(frame, _check_field(frame, field).coeffs, scales, masks,
+                       summation=False)[0]
 
 
 def apply_summation(frame, field, scales=None, masks=None):
     """S F (or a restricted S_I F) in spectral form; always mean-zero."""
-    out = np.zeros(n_coeffs(_band_limit(frame)))
-    for j, grid, w, c in _scale_terms(frame, field, scales):
-        L = len(w) - 1
-        mu = _masked_weights(grid, masks, j)
-        if mu is None:
-            Sc = grid.normal(c, L)
-        else:
-            Sc = grid.adjoint(mu * grid.synthesis(c), L)
-        out[: n_coeffs(L)] += w[degree_of_index(L)] * Sc
-    return HarmonicField(out)
+    return HarmonicField(_restricted(frame, _check_field(frame, field).coeffs, scales, masks,
+                                     form=False)[1])
 
 
 def rayleigh_quotient(frame, field):
@@ -244,7 +254,8 @@ class FrameBounds:
 def empirical_frame_bounds(frame, trials, seed=0):
     """Extremes of the Rayleigh quotient over seeded random unit fields.
 
-    Fields are drawn at the frame's ``coverage_limit()``.
+    Fields are drawn at the frame's ``coverage_limit()`` and go through each
+    scale as one coefficient block.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -252,11 +263,9 @@ def empirical_frame_bounds(frame, trials, seed=0):
     if L < 1:
         raise ValueError("frame covers no degree completely")
     rng = np.random.default_rng(seed)
-    lo, hi = math.inf, -math.inf
-    for _ in range(trials):
-        field = HarmonicField.random_mean_zero(L, rng)
-        q = rayleigh_quotient(frame, field)
-        lo = min(lo, q)
-        hi = max(hi, q)
+    fields = [HarmonicField.random_mean_zero(L, rng) for _ in range(trials)]
+    forms, _ = _restricted(frame, np.stack([f.coeffs for f in fields], axis=1), summation=False)
+    quotients = forms / np.array([f.norm() ** 2 for f in fields])
+    lo, hi = float(quotients.min()), float(quotients.max())
     return FrameBounds(lower=lo, upper=hi, ratio=hi / lo if lo > 0 else math.inf,
                        trials=trials, seed=seed)

@@ -20,6 +20,13 @@ in one group whose alias matrices are the identity and e_0 e_0^T, and each
 group costs two small matmuls, however many points its rows hold.
 ``normal`` back-projects the result with ``adjoint``'s Legendre loop;
 ``energy`` needs only the sum of fold times spectrum.
+
+Both take a coefficient vector or an (n_coeffs, k) block of k fields.  A
+vector is a block of one.  The folds of a block are (rows, k, orders)
+arrays, and each alias group stacks (row, column) pairs along the rows of
+one (rows * k, L_in + 1) @ (L_in + 1, L + 1) matmul, so k fields cost
+little more than one.  Columns are taken in chunks whose order arrays stay
+within the chunk budget.
 """
 
 import math
@@ -111,20 +118,24 @@ class BandGrid:
     # -- transforms ------------------------------------------------------
 
     def _fold(self, coeffs, L):
-        """Per-row longitude-Fourier coefficients of the expansion."""
+        """Per-row longitude-Fourier coefficients (A, B) of a vector or of each column of a block.
+
+        A, B are (rows, orders) for a vector and (rows, k, orders) for k columns.
+        """
         plm = self._plm(L)
-        A = np.zeros((self.n_rows, L + 1))
-        B = np.zeros((self.n_rows, L + 1))
+        starts, lm, cos_index, sin_index = _order_layout(L)
         root2 = math.sqrt(2.0)
+        cos_c = coeffs[cos_index]
+        cos_c[starts[1]:] *= root2
+        sin_c = root2 * coeffs[sin_index]  # its m = 0 entries go unused
+        A = np.zeros((self.n_rows,) + coeffs.shape[1:] + (L + 1,))
+        B = np.zeros_like(A)
         for m in range(L + 1):
-            ls = np.arange(m, L + 1)
-            base = ls * ls + ls
-            plm_m = plm[:, base // 2 + m]  # columns _lm(l, m), l = m..L
-            if m == 0:
-                A[:, 0] = plm_m @ coeffs[base]
-            else:
-                A[:, m] = plm_m @ (root2 * coeffs[base + m])
-                B[:, m] = plm_m @ (root2 * coeffs[base - m])
+            s = slice(starts[m], starts[m + 1])
+            plm_m = plm[:, lm[s]]
+            A[..., m] = plm_m @ cos_c[s]
+            if m:
+                B[..., m] = plm_m @ sin_c[s]
         return A, B
 
     def synthesis(self, coeffs):
@@ -165,17 +176,21 @@ class BandGrid:
     def _back_project(self, alpha, beta, L):
         """Coefficients of row spectra (alpha, beta) of orders m <= L: the transpose of ``_fold``."""
         plm = self._plm(L)
-        out = np.zeros(n_coeffs(L))
+        starts, lm, cos_index, sin_index = _order_layout(L)
         root2 = math.sqrt(2.0)
+        cos_c = np.empty((len(lm),) + alpha.shape[1:-1])
+        sin_c = np.empty_like(cos_c)
         for m in range(L + 1):
-            ls = np.arange(m, L + 1)
-            base = ls * ls + ls
-            plm_m = plm[:, base // 2 + m]  # columns _lm(l, m), l = m..L
+            s = slice(starts[m], starts[m + 1])
+            plm_m = plm[:, lm[s]]
             if m == 0:
-                out[base] = plm_m.T @ alpha[:, 0]
+                cos_c[s] = plm_m.T @ alpha[..., 0]
             else:
-                out[base + m] = root2 * (plm_m.T @ alpha[:, m])
-                out[base - m] = root2 * (plm_m.T @ beta[:, m])
+                cos_c[s] = root2 * (plm_m.T @ alpha[..., m])
+                sin_c[s] = root2 * (plm_m.T @ beta[..., m])
+        out = np.empty((n_coeffs(L),) + alpha.shape[1:-1])
+        out[cos_index] = cos_c
+        out[sin_index[starts[1]:]] = sin_c[starts[1]:]
         return out
 
     # -- weighted normal operator in Fourier-order space ------------------
@@ -183,48 +198,93 @@ class BandGrid:
     def _weighted_spectrum(self, A, B, L):
         """Row spectra (alpha, beta), orders m <= L, of adjoint(point_weights() * values).
 
-        ``values`` is the field with row folds (A, B) on the grid, never formed.
-        On a row of n points with weight mu, sum_k mu v_k e^{i m phi_k} is
+        ``values`` is a field with row folds A, B of shape (rows, columns, L_in + 1),
+        never formed.  On a row of n points with weight mu, sum_k mu v_k e^{i m phi_k} is
         (n mu / 2) e^{i m phi0} sum_m' ([m = m' mod n] conj(C_m') + [m + m' = 0 mod n] C_m')
         with C_m' = (A_m' - i B_m') e^{i m' phi0}, one pair of 0/1 alias
         matrices per n_eff = min(n, L_in + L + 1).
         """
         if self.row_weight is None:
             raise ValueError("grid carries no quadrature weights")
-        L_in = A.shape[1] - 1
+        L_in = A.shape[-1] - 1
         m_in = np.arange(L_in + 1)[:, None]
         m_out = np.arange(L + 1)
-        phase = np.exp(1j * np.outer(self.phi0, np.arange(max(L_in, L) + 1)))
-        C = (A - 1j * B) * phase[:, : L_in + 1]
+        phase = np.exp(1j * np.outer(self.phi0, np.arange(max(L_in, L) + 1)))[:, None, :]
+        C = (A - 1j * B) * phase[..., : L_in + 1]
         n_eff = np.minimum(self.counts, L_in + L + 1)
-        Z = np.empty((self.n_rows, L + 1), dtype=complex)
+        Z = np.empty(A.shape[:-1] + (L + 1,), dtype=complex)
         for n in np.unique(n_eff).tolist():
             rows = np.flatnonzero(n_eff == n)
             same = ((m_in - m_out) % n == 0).astype(float)
             opposite = ((m_in + m_out) % n == 0).astype(float)
-            Z[rows] = C[rows].conj() @ same + C[rows] @ opposite
-        Z *= (0.5 * self.counts * self.row_weight)[:, None] * phase[:, : L + 1]
+            stacked = C[rows].reshape(-1, L_in + 1)  # (row, column) pairs
+            Z[rows] = (stacked.conj() @ same + stacked @ opposite).reshape(len(rows), -1, L + 1)
+        Z *= (0.5 * self.counts * self.row_weight)[:, None, None] * phase[..., : L + 1]
         return Z.real, Z.imag
 
+    def _column_chunks(self, k, L):
+        """Slices of k columns whose complex (rows, columns, L + 1) arrays fit the chunk budget."""
+        step = max(1, _TARGET_CHUNK_FLOATS // (2 * self.n_rows * (L + 1)))
+        return [slice(start, start + step) for start in range(0, k, step)]
+
     def normal(self, coeffs, L):
-        """adjoint(point_weights() * synthesis(coeffs), L), without point values or FFTs."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        A, B = self._fold(coeffs, _band(coeffs))
-        return self._back_project(*self._weighted_spectrum(A, B, L), L)
+        """adjoint(point_weights() * synthesis(c), L) per column c, without point values or FFTs.
+
+        A vector gives a vector; an (n_coeffs, k) block gives an (n_coeffs(L), k) block.
+        """
+        block = _as_block(coeffs)
+        L_in = _band(block)
+        out = np.empty((n_coeffs(L), block.shape[1]))
+        for cols in self._column_chunks(block.shape[1], max(L_in, L)):
+            A, B = self._fold(block[:, cols], L_in)
+            out[:, cols] = self._back_project(*self._weighted_spectrum(A, B, L), L)
+        return out[:, 0] if np.ndim(coeffs) == 1 else out
 
     def energy(self, coeffs):
-        """dot(point_weights(), synthesis(coeffs) ** 2), without point values or FFTs."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        L = _band(coeffs)
-        A, B = self._fold(coeffs, L)
-        alpha, beta = self._weighted_spectrum(A, B, L)
-        return float(np.sum(A * alpha) + np.sum(B * beta))
+        """dot(point_weights(), synthesis(c) ** 2) per column c, without point values or FFTs.
+
+        A vector gives a float; an (n_coeffs, k) block gives k values.
+        """
+        block = _as_block(coeffs)
+        L = _band(block)
+        out = np.empty(block.shape[1])
+        for cols in self._column_chunks(block.shape[1], L):
+            A, B = self._fold(block[:, cols], L)
+            alpha, beta = self._weighted_spectrum(A, B, L)
+            out[cols] = _column_sums(A * alpha) + _column_sums(B * beta)
+        return float(out[0]) if np.ndim(coeffs) == 1 else out
+
+
+def _order_layout(L):
+    """The pairs (l, m), l = m..L, listed order by order for m = 0..L.
+
+    Returns the start of each order in the list (L + 2 entries), and per pair
+    the Legendre table column _lm(l, m) and the coefficient indices of
+    Y_{l,m} (cosine part) and Y_{l,-m} (sine part).
+    """
+    counts = np.arange(L + 1, 0, -1)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    m = np.repeat(np.arange(L + 1), counts)
+    l = m + np.arange(starts[-1]) - starts[m]
+    base = l * l + l
+    return starts.tolist(), base // 2 + m, base + m, base - m
+
+
+def _as_block(coeffs):
+    """A coefficient vector as a block of one column; a block as it is."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return coeffs.reshape(len(coeffs), -1)
+
+
+def _column_sums(products):
+    """Sum over rows and orders of (rows, k, orders) products, one value per column."""
+    return products.transpose(1, 0, 2).reshape(products.shape[1], -1).sum(axis=1)
 
 
 def _band(coeffs):
-    """Band limit L of a coefficient vector of length (L+1)^2."""
-    L = int(round(math.sqrt(coeffs.size))) - 1
-    if n_coeffs(L) != coeffs.size:
+    """Band limit L of a coefficient vector, or block of columns, of length (L+1)^2."""
+    L = int(round(math.sqrt(len(coeffs)))) - 1
+    if n_coeffs(L) != len(coeffs):
         raise ValueError("coefficient vector length must be a perfect square")
     return L
 

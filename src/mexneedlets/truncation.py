@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .daubechies import eigen_daubechies_sum, truncated_daubechies_sum
 from .fields import evaluate_field
-from .frame import _check_field, apply_summation, quadratic_form
+from .frame import _check_field, _restricted, apply_summation
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs, sphere_eigenvalue
 from .cubature import cubature_rule
 
@@ -34,6 +33,8 @@ _CHUNK_FLOATS = 3_000_000  # bound on the harmonic matrix built per block of nod
 
 def moment_constant(filt, J):
     """M_J = max_{r>0} |r^J f(r)| by log-grid bracketing plus refinement."""
+    from scipy.optimize import minimize_scalar
+
     if J < 1 or int(J) != J:
         raise ValueError("moment order J must be a positive integer")
     lo, hi = filt.support
@@ -158,6 +159,8 @@ class GeodesicCap:
         norm = np.linalg.norm(center) if center.shape == (3,) else math.nan
         if not (math.isfinite(self.radius) and math.isfinite(norm) and norm > 0.0):
             raise ValueError("cap needs a finite radius and a finite nonzero 3-vector center")
+        if not 0.0 <= self.radius <= math.pi:
+            raise ValueError("cap radius must lie in [0, pi], got %r" % (self.radius,))
         object.__setattr__(self, "center", center / norm)
 
     @property
@@ -204,8 +207,7 @@ def _off_cap_energy(field, cap):
     t.  Weights are positive and nothing is subtracted.
     """
     L = field.L_max
-    radius = min(max(cap.radius, 0.0), math.pi)
-    half = 0.5 * (math.cos(radius) + 1.0)  # exactly 0 when the cap is the sphere
+    half = 0.5 * (math.cos(cap.radius) + 1.0)  # exactly 0 when the cap is the sphere
     x, w = np.polynomial.legendre.leggauss(L + 1)
     t = half * (x + 1.0) - 1.0
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))
@@ -276,8 +278,8 @@ def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, *, b_emp):
     field = _check_field(spec, field)
     masks = spatial_index_set(spec, cap, c_by_scale)
     dropped = complement_masks(spec, masks)
-    measured = apply_summation(spec, field, masks=dropped).norm()
-    dropped_form = quadratic_form(spec, field, masks=dropped)
+    dropped_form, summed = _restricted(spec, field.coeffs, masks=dropped)
+    measured = float(np.linalg.norm(summed))
     chi_sq, leak_sq = cap_energy_split(spec, field, cap)
     structural_sum = 0.0
     for j in spec.scales:

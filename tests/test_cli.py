@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,26 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: %s must be finite" % option in captured.err
+
+
+def test_cap_radius_outside_zero_to_pi_exits_2(capsys):
+    for radius in ("-0.6", "4.0"):
+        assert run(["spatial", "--cap-radius", radius]) == 2, radius
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap radius must lie in [0, pi]" in captured.err
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # every command pays for the import of mexneedlets.cli; scipy's
+    # integrate and optimize load only where quad/minimize_scalar are called
+    code = ("import sys, mexneedlets.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mexneedlets import sphgrid
 from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          apply_summation, build_needlet_frame, build_partition,
                          default_scale_window, empirical_frame_bounds, evaluate_field,
                          frame_element, greedy_ball_partition, kernel_series,
                          quadratic_form, rayleigh_quotient)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
+from mexneedlets.frame import _restricted
 from mexneedlets.harmonics import degree_of_index, n_coeffs
 from mexneedlets.sphgrid import BandGrid
 
@@ -177,6 +179,46 @@ def test_empirical_bounds_enclose_their_ensemble(spec):
         F = HarmonicField.random_mean_zero(8, rng)
         q = rayleigh_quotient(spec, F)
         assert fb.lower - 1e-12 <= q <= fb.upper + 1e-12
+
+
+def _needlet_frame():
+    return build_needlet_frame(SpectralFilter("normalized_cutoff"), -3, 0)
+
+
+def _two_column_budget(monkeypatch, frame):
+    """Shrink the chunk budget to two columns per pass on the frame's widest grid."""
+    widest = max(grid.n_rows * len(w) for _, grid, w in frame.terms())
+    monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", 2 * 2 * widest)
+
+
+@pytest.mark.parametrize("frame_kind", ["spec", "needlet"])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_block_form_and_summation_match_single_fields(spec, frame_kind, chunked, monkeypatch):
+    frame = spec if frame_kind == "spec" else _needlet_frame()
+    if chunked:
+        _two_column_budget(monkeypatch, frame)
+    rng = np.random.default_rng(11)
+    fields = [HarmonicField.random_mean_zero(frame.coverage_limit(), rng) for _ in range(5)]
+    forms, summed = _restricted(frame, np.stack([F.coeffs for F in fields], axis=1))
+    assert forms.shape == (5,) and summed.shape[1] == 5
+    for i, F in enumerate(fields):
+        assert forms[i] == pytest.approx(quadratic_form(frame, F), rel=1e-13)
+        ref = apply_summation(frame, F).coeffs
+        assert np.linalg.norm(summed[:, i] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("frame_kind", ["spec", "needlet"])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_empirical_bounds_are_the_per_field_extremes(spec, frame_kind, chunked, monkeypatch):
+    frame = spec if frame_kind == "spec" else _needlet_frame()
+    if chunked:
+        _two_column_budget(monkeypatch, frame)
+    fb = empirical_frame_bounds(frame, trials=9, seed=4)
+    rng = np.random.default_rng(4)
+    quotients = [rayleigh_quotient(frame, HarmonicField.random_mean_zero(frame.coverage_limit(), rng))
+                 for _ in range(9)]
+    assert fb.lower == pytest.approx(min(quotients), rel=1e-14)
+    assert fb.upper == pytest.approx(max(quotients), rel=1e-14)
 
 
 def test_empirical_bounds_basics(spec):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mexneedlets import build_partition, cubature_rule
+from mexneedlets import build_partition, cubature_rule, sphgrid
 from mexneedlets.harmonics import n_coeffs, real_sh_matrix
 
 L = 8
@@ -112,3 +112,48 @@ def test_order_space_needs_weights():
     bare = type(grid)(grid.theta, grid.phi0, grid.counts)
     with pytest.raises(ValueError):
         bare.energy(np.ones(n_coeffs(2)))
+
+
+def _check_block(grid, L_in, L_out, k, seed):
+    # each column of a k-column block gives the single-field energy and
+    # normal; a block of one gives the vector result exactly
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((n_coeffs(L_in), k))
+    energies, normals = grid.energy(block), grid.normal(block, L_out)
+    assert energies.shape == (k,) and normals.shape == (n_coeffs(L_out), k)
+    for i in range(k):
+        c = block[:, i].copy()
+        energy, normal = grid.energy(c), grid.normal(c, L_out)
+        assert energies[i] == pytest.approx(energy, rel=1e-13)
+        assert np.linalg.norm(normals[:, i] - normal) <= 1e-13 * np.linalg.norm(normal)
+        one = block[:, i:i + 1]
+        assert grid.energy(one).tolist() == [energy]
+        assert np.array_equal(grid.normal(one, L_out), normal[:, None])
+
+
+def _block_grids():
+    return [("band partition", build_partition(0, 2.0, 0.6).grid, 8, 8),
+            ("every row length", _every_row_length_grid(12), 12, 12),
+            ("every row length, low input band", _every_row_length_grid(12), 5, 12),
+            ("cubature, aliasing rows", cubature_rule(16).grid, 12, 12),
+            ("cubature, low output band", cubature_rule(16).grid, 12, 7)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_block_columns_match_single_fields(case):
+    name, grid, L_in, L_out = _block_grids()[case]
+    # rings of n <= L_in + L_out points alias orders onto each other
+    assert np.any(grid.counts <= L_in + L_out), name
+    assert len(grid._column_chunks(6, max(L_in, L_out))) == 1
+    _check_block(grid, L_in, L_out, 6, seed=case)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_block_columns_split_into_chunks(case, monkeypatch):
+    name, grid, L_in, L_out = _block_grids()[case]
+    # a budget of two columns per pass: seven columns take four passes
+    width = max(L_in, L_out) + 1
+    monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", 2 * 2 * grid.n_rows * width)
+    chunks = grid._column_chunks(7, max(L_in, L_out))
+    assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 4), (4, 6), (6, 8)], name
+    _check_block(grid, L_in, L_out, 7, seed=10 + case)

@@ -12,6 +12,7 @@ from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
                          spatial_index_set, spatial_truncation_report,
                          spectral_tail_norm, window_margin)
 from mexneedlets.harmonics import sh_index
+from mexneedlets.sphgrid import BandGrid
 from mexneedlets.truncation import cap_energy_split
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -226,6 +227,26 @@ def test_spatial_report_structure(spatial_spec, cap_field):
     assert math.isfinite(rep1.measured_to_structural)
 
 
+def test_spatial_report_synthesizes_each_masked_scale_once(spatial_spec, cap_field,
+                                                            monkeypatch):
+    cap = GeodesicCap(center=NORTH, radius=0.6)
+    dropped = complement_masks(spatial_spec, spatial_index_set(spatial_spec, cap, 1.0))
+    measured = apply_summation(spatial_spec, cap_field, masks=dropped).norm()
+    form = quadratic_form(spatial_spec, cap_field, masks=dropped)
+    calls = []
+    synthesis = BandGrid.synthesis
+
+    def counted(grid, coeffs):
+        calls.append(grid)
+        return synthesis(grid, coeffs)
+
+    monkeypatch.setattr(BandGrid, "synthesis", counted)
+    rep = spatial_truncation_report(spatial_spec, cap_field, cap, 1.0, 3.0, b_emp=1.0)
+    # one synthesis per masked scale, plus the cubature rule of cap_energy_split
+    assert len(calls) == len(spatial_spec.scales) + 1
+    assert (rep.measured, rep.dropped_quadratic_form) == (measured, form)
+
+
 def test_off_cap_energy_exact_off_pole(spatial_spec):
     # the off-cap parts of a cap and of its antipodal complement tile the sphere
     center = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
@@ -241,6 +262,16 @@ def test_cap_rejects_non_finite_parameters():
                            (np.array([0.0, math.nan, 1.0]), 0.5)):
         with pytest.raises(ValueError):
             GeodesicCap(center=center, radius=radius)
+
+
+def test_cap_radius_must_lie_in_zero_to_pi():
+    for radius in (-0.6, -1e-12, math.pi + 1e-12, 4.0):
+        with pytest.raises(ValueError, match="radius"):
+            GeodesicCap(center=NORTH, radius=radius)
+    # the boundary values are a point and the whole sphere
+    assert GeodesicCap(center=NORTH, radius=0.0).area == 0.0
+    assert GeodesicCap(center=NORTH, radius=math.pi).area == pytest.approx(4.0 * math.pi)
+    assert np.all(GeodesicCap(center=NORTH, radius=math.pi).distance(-NORTH) == 0.0)
 
 
 def test_cap_center_is_normalised(spatial_spec, cap_field):
