@@ -20,6 +20,7 @@ from .errors import MexNeedletError
 from .fields import HarmonicField
 from .filters import parse_filter
 from .frame import FrameSpec, empirical_frame_bounds
+from .harmonics import n_coeffs, sh_index
 from .kernels import kernel_profile, series_gaussian_max_diff
 from .needlets import build_needlet_frame, hybrid_tail_diagnostics
 from .partition import build_partition, greedy_ball_partition, partition_to_json
@@ -220,9 +221,9 @@ def cmd_spatial(args):
     cap = GeodesicCap(center=np.array([0.0, 0.0, 1.0]), radius=args.cap_radius)
     spec = _build_spec(args)
     # cap-localized test field: heat-type bell at the cap center
-    coeffs = np.zeros((spec.L_max + 1) ** 2)
+    coeffs = np.zeros(n_coeffs(spec.L_max))
     for l in range(1, spec.L_max + 1):
-        coeffs[l * l + l] = math.exp(-l * (l + 1) * 0.02) * math.sqrt(2 * l + 1)
+        coeffs[sh_index(l, 0)] = math.exp(-l * (l + 1) * 0.02) * math.sqrt(2 * l + 1)
     field = HarmonicField(coeffs / np.linalg.norm(coeffs))
     fb = empirical_frame_bounds(spec, trials=20, seed=args.seed)
     sweep = []

@@ -9,6 +9,12 @@ taken on the filter's own argument axis with p its dilation exponent
 filters on the sqrt-eigenvalue axis).  g is sigma-periodic in log x and
 its extrema A <= g <= B are the frame-bound constants; their log-average
 over one period is c / ln(sigma) with c the Calderon constant.
+
+Every full ladder sum, for one lam or many, goes through one walk,
+``_ladder_sums``: outward from the rung nearest the summand's peak, in
+blocks of rungs with one filter call per block.  Its result equals a walk
+of one rung at a time bit for bit (the tests keep that walk as their
+reference).
 """
 
 import math
@@ -19,7 +25,8 @@ import numpy as np
 from .filters import calderon_constant
 
 _TAIL_REL = 1e-18
-_MAX_TERMS = 20000
+_MAX_TERMS = 20000  # rungs per direction
+_BLOCK_SPAN = 1e6
 
 
 def _ladder_step(filt, a):
@@ -31,34 +38,10 @@ def _ladder_step(filt, a):
 
 
 def daubechies_sum(filt, a, lam):
-    """Full two-sided ladder sum g(lam) = sum_j |f(sigma^j lam)|^2.
-
-    Each tail is extended until two consecutive terms fall below
-    ``_TAIL_REL`` relative to the running sum; beyond its single interior
-    peak the mexican summand decreases monotonically in both directions,
-    so this certifies the truncation.  Cutoff filters terminate exactly.
-    """
+    """Full two-sided ladder sum g(lam) = sum_j |f(sigma^j lam)|^2 (see ``_ladder_sums``)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    sigma = _ladder_step(filt, a)
-    x_peak = _peak_rung(lam, sigma)
-    total = float(filt(x_peak)) ** 2
-    for direction in (sigma, 1.0 / sigma):
-        x = x_peak
-        small = 0
-        for _ in range(_MAX_TERMS):
-            x *= direction
-            term = float(filt(x)) ** 2
-            total += term
-            if term <= _TAIL_REL * total:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-        else:
-            raise RuntimeError("ladder sum failed to converge")
-    return total
+    return float(_ladder_sums(filt, a, [lam])[0])
 
 
 def _peak_rung(lam, sigma):
@@ -69,25 +52,47 @@ def _peak_rung(lam, sigma):
 
 
 def _ladder_sums(filt, a, lams):
-    """``daubechies_sum`` at every lam at once, bit-identical to one call per lam.
+    """Ladder sums g(lam) at every lam of ``lams``: the one walk along a ladder.
 
-    All ladders are walked together, each until its own two-consecutive-
-    small stop, adding the same terms in the same order as the scalar walk.
+    From the rung nearest the summand's peak each tail is extended until
+    two consecutive terms fall below ``_TAIL_REL`` relative to the running
+    sum; beyond its single interior peak the mexican summand decreases
+    monotonically in both directions, so this certifies the truncation.
+    Cutoff filters terminate exactly.
+
+    Rungs are taken in blocks spanning a factor ``_BLOCK_SPAN`` in x, one
+    filter call per block for every ladder still walking.  ``cumprod``
+    from the current rung gives the rungs and ``cumsum`` seeded with the
+    running total gives the sums, so each ladder takes the same products
+    and the same left-to-right additions as a walk one rung at a time, and
+    the result does not depend on the block size or on which other lams
+    share the call.  The block span bounds how far a block runs past the
+    stop, which keeps s^r of the mexican filter from overflowing there.
     """
     sigma = _ladder_step(filt, a)
     x_peak = np.array([_peak_rung(lam, sigma) for lam in lams])
-    # float_power is libm pow, like the scalar walk's float ** 2
+    # float_power is libm pow, like float ** 2 in a walk of one rung at a time
     total = np.float_power(filt(x_peak), 2)
+    block = max(2, math.ceil(math.log(_BLOCK_SPAN) / math.log(sigma)))
     for direction in (sigma, 1.0 / sigma):
         x = x_peak.copy()
-        small = np.zeros(x.shape, dtype=int)
+        small = np.zeros(x.shape, dtype=bool)  # was the last term taken below the tail level
         live = np.arange(x.size)
-        for _ in range(_MAX_TERMS):
-            x[live] *= direction
-            term = np.float_power(filt(x[live]), 2)
-            total[live] += term
-            small[live] = np.where(term <= _TAIL_REL * total[live], small[live] + 1, 0)
-            live = live[small[live] < 2]
+        for start in range(0, _MAX_TERMS, block):
+            width = min(block, _MAX_TERMS - start)
+            steps = np.full((live.size, width + 1), direction)
+            steps[:, 0] = x[live]
+            rungs = np.cumprod(steps, axis=1)[:, 1:]
+            terms = np.float_power(filt(rungs), 2)
+            sums = np.column_stack((total[live], terms)).cumsum(axis=1)[:, 1:]
+            tiny = terms <= _TAIL_REL * sums
+            stop = tiny & np.column_stack((small[live], tiny[:, :-1]))
+            done = stop.any(axis=1)
+            last = np.where(done, stop.argmax(axis=1), width - 1)
+            total[live] = sums[np.arange(live.size), last]
+            x[live] = rungs[:, -1]
+            small[live] = tiny[:, -1]
+            live = live[~done]
             if live.size == 0:
                 break
         else:
@@ -96,22 +101,26 @@ def _ladder_sums(filt, a, lams):
 
 
 def truncated_daubechies_sum(filt, a, lam, M, N):
-    """Window sum g_{M,N}(lam) = sum_{j=-M}^{N} |f(sigma^j lam)|^2."""
-    if lam <= 0:
+    """Window sum g_{M,N}(lam) = sum_{j=-M}^{N} |f(sigma^j lam)|^2, per entry of an array lam."""
+    if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
     if M < 0 or N < 0:
         raise ValueError("M and N must be nonnegative")
     sigma = _ladder_step(filt, a)
     js = np.arange(-int(M), int(N) + 1)
-    vals = filt(lam * sigma ** js.astype(float))
-    return float(np.sum(np.square(vals)))
+    vals = filt(np.multiply.outer(lam, sigma ** js.astype(float)))
+    sums = np.sum(np.square(vals), axis=-1)
+    return float(sums) if np.ndim(lam) == 0 else sums
+
+
+def filter_axis(filt, lam):
+    """Eigenvalue(s) lam on the filter's own argument axis: lam, or sqrt(lam) for cutoff filters."""
+    return lam if filt.dilation_exponent == 2 else np.sqrt(lam)
 
 
 def eigen_daubechies_sum(filt, a, lam):
     """Full ladder sum expressed on the eigenvalue axis: sum_j multiplier(a^j, lam)^2."""
-    if filt.dilation_exponent == 2:
-        return daubechies_sum(filt, a, lam)
-    return daubechies_sum(filt, a, math.sqrt(lam))
+    return daubechies_sum(filt, a, filter_axis(filt, lam))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import ZeroFieldError
-from .harmonics import n_coeffs, real_sh_matrix, sh_index
+from .harmonics import band_of_length, n_coeffs, real_sh_matrix, sh_index
 
 
 class HarmonicField:
@@ -11,11 +11,8 @@ class HarmonicField:
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        L = int(round(np.sqrt(coeffs.size))) - 1
-        if n_coeffs(L) != coeffs.size:
-            raise ValueError("coefficient vector length must be (L+1)^2")
         self.coeffs = coeffs
-        self.L_max = L
+        self.L_max = band_of_length(coeffs.size)
 
     @classmethod
     def zeros(cls, L):

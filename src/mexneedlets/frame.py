@@ -38,9 +38,9 @@ import numpy as np
 from .daubechies import eigen_daubechies_sum
 from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
-from .harmonics import degree_of_index, n_coeffs, real_sh_matrix, sphere_eigenvalue
+from .harmonics import (band_of_length, degree_of_index, n_coeffs, real_sh_matrix,
+                        sphere_eigenvalue)
 from .partition import ScalePartition, build_partition
-from .sphgrid import _band
 
 ADEQUACY_EPS = 1e-6
 
@@ -165,7 +165,7 @@ def _check_field(frame, field):
 
 def _weighted(w, coeffs):
     """w(l) c_{l,q} for l <= min(L_j, band) of a coefficient vector or of each block column."""
-    L = min(len(w) - 1, _band(coeffs))
+    L = min(len(w) - 1, band_of_length(len(coeffs)))
     return (w[degree_of_index(L)] * coeffs[: n_coeffs(L)].T).T
 
 

@@ -36,6 +36,14 @@ def n_coeffs(L):
     return (L + 1) * (L + 1)
 
 
+def band_of_length(n):
+    """Band limit L of a coefficient layout with n = (L+1)^2 entries."""
+    L = int(round(math.sqrt(n))) - 1
+    if n_coeffs(L) != n:
+        raise ValueError("coefficient vector length must be (L+1)^2, got %d" % n)
+    return L
+
+
 def sh_index(l, q):
     """Flat index of the (l, q) coefficient."""
     if abs(q) > l:

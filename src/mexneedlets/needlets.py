@@ -21,8 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .cubature import cubature_rule
-from .errors import ZeroFieldError
-from .frame import analyze, frame_element, quadratic_form
+from .frame import analyze, frame_element, rayleigh_quotient
 
 SPHERE_DIM = 2  # n of S^n in the hybrid estimates; the library works on S^2
 _CROSSING_TOL = 1e-10
@@ -92,17 +91,12 @@ def build_needlet_frame(g, j_min, j_max):
 
 
 # phi_{j,i} = lambda_i^{1/2} sum_l g(2^j l) Y_l(x_i) Y_l is frame.py's element
-# with cubature nodes and weights in place of cell centers and measures.
+# with cubature nodes and weights in place of cell centers and measures, and
+# the tightness sum |<F, phi>|^2 / ||F||^2 (1 to rounding on the covered
+# spectrum) is frame.py's Rayleigh quotient.
 needlet_analyze = analyze
 needlet_frame_element = frame_element
-
-
-def tightness_ratio(frame, field):
-    """sum |<F, phi>|^2 / ||F||^2; equals 1 to rounding on covered spectrum."""
-    norm_sq = field.norm() ** 2
-    if norm_sq == 0.0:
-        raise ZeroFieldError("tightness undefined for the zero field")
-    return quadratic_form(frame, field) / norm_sq
+tightness_ratio = rayleigh_quotient
 
 
 # -- hybrid-frame tail estimates -------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CellCountOverflowError
 from .harmonics import geodesic_distance
-from .sphgrid import BandGrid
+from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 
 DESK_SCALE_MIN_DIAMETER = 1e-3
 MEASURE_CONDITION_DELTA0 = math.pi / 2
@@ -238,9 +238,11 @@ def greedy_ball_partition(t, candidates=2000, grid_theta=512):
         counts=np.full(grid_theta, n_phi, dtype=np.int64),
         row_weight=w * (2.0 * math.pi / n_phi),
     )
-    labels = np.empty(label_grid.n_points, dtype=np.int64)
-    for sl, xyz in label_grid.block_iter():
-        labels[sl] = _greedy_label_block(centers, t, xyz)
+    # a label block's largest array is geodesic_distance's (points, centers, 3) product
+    step = max(1, _TARGET_CHUNK_FLOATS // (3 * len(centers)))
+    points = label_grid.points()
+    labels = np.concatenate([_greedy_label_block(centers, t, points[start:start + step])
+                             for start in range(0, len(points), step)])
     measures = np.bincount(labels, weights=label_grid.point_weights(), minlength=len(centers))
     return GreedyPartition(t, centers, measures, label_grid, labels)
 

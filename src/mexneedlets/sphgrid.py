@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .harmonics import n_coeffs, norm_assoc_legendre, sph_to_xyz
+from .harmonics import band_of_length, n_coeffs, norm_assoc_legendre, sph_to_xyz
 
 _TARGET_CHUNK_FLOATS = 3_000_000
 
@@ -43,15 +43,15 @@ class BandGrid:
 
     theta, phi0, counts are per-row arrays; row ``i`` holds the n = counts[i]
     points (theta[i], phi0[i] + k*dphi[i]) for 0 <= k < n, dphi = 2 pi / n.
-    An optional per-row quadrature weight applies to every point of the row.
+    The per-row quadrature weight applies to every point of the row.
     """
 
-    def __init__(self, theta, phi0, counts, row_weight=None):
+    def __init__(self, theta, phi0, counts, row_weight):
         self.theta = np.asarray(theta, dtype=float)
         self.phi0 = np.asarray(phi0, dtype=float)
         self.counts = np.asarray(counts, dtype=np.int64)
         self.dphi = 2.0 * math.pi / self.counts
-        self.row_weight = None if row_weight is None else np.asarray(row_weight, dtype=float)
+        self.row_weight = np.asarray(row_weight, dtype=float)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         self.n_points = int(self.offsets[-1])
         self.n_rows = len(self.theta)
@@ -67,8 +67,6 @@ class BandGrid:
     # -- helpers ---------------------------------------------------------
 
     def point_weights(self):
-        if self.row_weight is None:
-            raise ValueError("grid carries no quadrature weights")
         return np.repeat(self.row_weight, self.counts)
 
     def _rings(self, L):
@@ -106,8 +104,7 @@ class BandGrid:
             raise ValueError("point index out of range")
         row = int(np.searchsorted(self.offsets, k, side="right")) - 1
         phi = self.phi0[row] + self.dphi[row] * (k - self.offsets[row])
-        weight = None if self.row_weight is None else float(self.row_weight[row])
-        return sph_to_xyz(self.theta[row], phi), weight
+        return sph_to_xyz(self.theta[row], phi), float(self.row_weight[row])
 
     def points(self):
         out = np.empty((self.n_points, 3))
@@ -147,7 +144,7 @@ class BandGrid:
         m mod n, and one inverse FFT of length n evaluates the row.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        L = _band(coeffs)
+        L = band_of_length(len(coeffs))
         A, B = self._fold(coeffs, L)
         values = np.empty(self.n_points)
         for rows, idx, bins, phase in self._rings(L):
@@ -204,8 +201,6 @@ class BandGrid:
         with C_m' = (A_m' - i B_m') e^{i m' phi0}, one pair of 0/1 alias
         matrices per n_eff = min(n, L_in + L + 1).
         """
-        if self.row_weight is None:
-            raise ValueError("grid carries no quadrature weights")
         L_in = A.shape[-1] - 1
         m_in = np.arange(L_in + 1)[:, None]
         m_out = np.arange(L + 1)
@@ -233,7 +228,7 @@ class BandGrid:
         A vector gives a vector; an (n_coeffs, k) block gives an (n_coeffs(L), k) block.
         """
         block = _as_block(coeffs)
-        L_in = _band(block)
+        L_in = band_of_length(len(block))
         out = np.empty((n_coeffs(L), block.shape[1]))
         for cols in self._column_chunks(block.shape[1], max(L_in, L)):
             A, B = self._fold(block[:, cols], L_in)
@@ -246,7 +241,7 @@ class BandGrid:
         A vector gives a float; an (n_coeffs, k) block gives k values.
         """
         block = _as_block(coeffs)
-        L = _band(block)
+        L = band_of_length(len(block))
         out = np.empty(block.shape[1])
         for cols in self._column_chunks(block.shape[1], L):
             A, B = self._fold(block[:, cols], L)
@@ -279,12 +274,3 @@ def _as_block(coeffs):
 def _column_sums(products):
     """Sum over rows and orders of (rows, k, orders) products, one value per column."""
     return products.transpose(1, 0, 2).reshape(products.shape[1], -1).sum(axis=1)
-
-
-def _band(coeffs):
-    """Band limit L of a coefficient vector, or block of columns, of length (L+1)^2."""
-    L = int(round(math.sqrt(len(coeffs)))) - 1
-    if n_coeffs(L) != len(coeffs):
-        raise ValueError("coefficient vector length must be a perfect square")
-    return L
-

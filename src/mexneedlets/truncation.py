@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daubechies import eigen_daubechies_sum, truncated_daubechies_sum
+from .daubechies import _ladder_sums, filter_axis, truncated_daubechies_sum
 from .fields import evaluate_field
 from .frame import _check_field, _restricted, apply_summation
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs, sphere_eigenvalue
@@ -117,14 +117,11 @@ def measured_truncation_error(spec, field, M, N):
 
 def window_margin(spec, M, N):
     """max_l relative ladder mass outside [-M, N] over the carried spectrum."""
-    worst = 0.0
-    for l in range(1, spec.L_max + 1):
-        lam = sphere_eigenvalue(l)
-        x = lam if spec.filter.dilation_exponent == 2 else math.sqrt(lam)
-        g = eigen_daubechies_sum(spec.filter, spec.a, lam)
-        g_win = truncated_daubechies_sum(spec.filter, spec.a, x, M, N)
-        worst = max(worst, (g - g_win) / g)
-    return worst
+    ls = np.arange(1, spec.L_max + 1)
+    x = filter_axis(spec.filter, ls * (ls + 1.0))
+    g = _ladder_sums(spec.filter, spec.a, x)
+    g_win = truncated_daubechies_sum(spec.filter, spec.a, x, M, N)
+    return float(np.max((g - g_win) / g, initial=0.0))
 
 
 def fit_riemann_constant(spec, fields, M, N, J=1, *, bounds):

@@ -1,16 +1,42 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mexneedlets import (SpectralFilter, calderon_constant, daubechies_bounds,
-                         daubechies_sum, eigen_daubechies_sum, truncated_daubechies_sum)
-from mexneedlets.daubechies import _ladder_sums
+from mexneedlets import (FrameSpec, SpectralFilter, calderon_constant, daubechies_bounds,
+                         daubechies_sum, eigen_daubechies_sum, sphere_eigenvalue,
+                         truncated_daubechies_sum, window_margin)
+from mexneedlets.daubechies import _MAX_TERMS, _TAIL_REL, _ladder_sums, _peak_rung
 
 MEX1 = SpectralFilter("mexican", 1)
 MEX2 = SpectralFilter("mexican", 2)
+CUT = SpectralFilter("cutoff_bump")
 NORM = SpectralFilter("normalized_cutoff")
 A13 = 2.0 ** (1.0 / 3.0)
+
+
+def scalar_ladder_sum(filt, a, lam):
+    """Reference walk: one rung at a time outward from the peak rung, same stop rule."""
+    sigma = a ** filt.dilation_exponent
+    x_peak = _peak_rung(lam, sigma)
+    total = float(filt(x_peak)) ** 2
+    for direction in (sigma, 1.0 / sigma):
+        x = x_peak
+        small = 0
+        for _ in range(_MAX_TERMS):
+            x *= direction
+            term = float(filt(x)) ** 2
+            total += term
+            if term <= _TAIL_REL * total:
+                small += 1
+                if small >= 2:
+                    break
+            else:
+                small = 0
+        else:
+            raise RuntimeError("ladder sum failed to converge")
+    return total
 
 
 def brute_ladder_sum(filt, a, lam, span=400):
@@ -139,7 +165,7 @@ def test_bounds_scan_is_bit_identical_to_one_sum_per_point(filt, a):
     # the 256-point scan of daubechies_bounds walks every ladder at once
     us = np.linspace(0.0, 2.0 * math.log(a), 256, endpoint=False)
     lams = [math.exp(u) for u in us]
-    expected = np.array([daubechies_sum(filt, a, lam) for lam in lams])
+    expected = np.array([scalar_ladder_sum(filt, a, lam) for lam in lams])
     assert np.array_equal(_ladder_sums(filt, a, lams), expected)
 
 
@@ -148,5 +174,64 @@ def test_ladder_sums_are_bit_identical_at_random_points():
     for filt in (MEX1, MEX2, NORM):
         a = 1.05 + 1.5 * rng.random()
         lams = np.exp(rng.uniform(-12.0, 12.0, 40)).tolist()
-        expected = np.array([daubechies_sum(filt, a, lam) for lam in lams])
+        expected = np.array([scalar_ladder_sum(filt, a, lam) for lam in lams])
         assert np.array_equal(_ladder_sums(filt, a, lams), expected)
+
+
+@pytest.mark.parametrize("a", [1.01, 1.1, A13, math.sqrt(2.0), 2.0])
+@pytest.mark.parametrize("filt", [MEX1, MEX2, CUT, NORM], ids=lambda f: f.name)
+def test_block_walk_equals_scalar_walk(filt, a):
+    # at a = 1.01 a mexican walk takes several blocks of rungs in each direction
+    rng = np.random.default_rng(5)
+    lams = np.exp(rng.uniform(-20.0, 20.0, 60)).tolist()
+    expected = np.array([scalar_ladder_sum(filt, a, lam) for lam in lams])
+    assert np.array_equal(_ladder_sums(filt, a, lams), expected)
+    assert np.array_equal([daubechies_sum(filt, a, lam) for lam in lams], expected)
+
+
+def test_block_walk_stays_finite_for_steep_filter():
+    # s^8 overflows 64 rungs past the stop at sigma = 16; the blocks stop short of that
+    mex8 = SpectralFilter("mexican", 8)
+    lams = np.exp(np.linspace(-20.0, 20.0, 41)).tolist()
+    expected = [scalar_ladder_sum(mex8, 4.0, lam) for lam in lams]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_ladder_sums(mex8, 4.0, lams), expected)
+
+
+class RungFilter:
+    """Summand on the ladder 2^n: 1 for 0 <= n < k, 1e-10 at n = k, k + 1, 1 at k + 2, else 0."""
+
+    dilation_exponent = 1
+
+    def __init__(self, k):
+        self.k = k
+
+    def __call__(self, s):
+        n = np.rint(np.log2(s))
+        return np.select([n < 0, n < self.k, n < self.k + 2, n == self.k + 2],
+                         [0.0, 1.0, 1e-10, 1.0], 0.0)
+
+
+def test_walk_stops_at_the_first_two_small_terms():
+    # the walk must stop before rung k + 2 wherever the pair falls against
+    # the block boundaries; every term past the stop of a real filter is
+    # below half an ulp of the total, so only a stub can show the stop
+    for k in range(1, 70):
+        filt = RungFilter(k)
+        assert scalar_ladder_sum(filt, 2.0, 1.0) == k
+        assert daubechies_sum(filt, 2.0, 1.0) == k
+        assert np.array_equal(_ladder_sums(filt, 2.0, [1.0, 3.0, 1.0]), [k, k, k])
+
+
+@pytest.mark.parametrize("filt, a", [(MEX1, A13), (NORM, 2.0), (CUT, 1.3)])
+def test_window_margin_equals_per_degree_loop(filt, a):
+    spec = FrameSpec.build(filt, a, 0.9, L_max=24, j_range=(-4, 1))
+    for M, N in ((0, 0), (3, 1), (22, 4)):
+        worst = 0.0
+        for l in range(1, spec.L_max + 1):
+            lam = sphere_eigenvalue(l)
+            x = lam if filt.dilation_exponent == 2 else math.sqrt(lam)
+            g = scalar_ladder_sum(filt, a, x)
+            worst = max(worst, (g - truncated_daubechies_sum(filt, a, x, M, N)) / g)
+        assert window_margin(spec, M, N) == worst

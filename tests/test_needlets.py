@@ -8,7 +8,7 @@ from mexneedlets import (HarmonicField, SpectralFilter, apply_summation,
                          empirical_frame_bounds, hybrid_cut_degree, hybrid_rate,
                          hybrid_tail_diagnostics, needlet_analyze, needlet_frame_element,
                          tail_bound_lhs_rhs, tightness_ratio)
-from mexneedlets.errors import BandLimitError
+from mexneedlets.errors import BandLimitError, ZeroFieldError
 
 NORM = SpectralFilter("normalized_cutoff")
 A13 = 2.0 ** (1.0 / 3.0)
@@ -40,6 +40,13 @@ def test_tightness_on_covered_fields(frame):
     for _ in range(5):
         F = HarmonicField.random_mean_zero(32, rng)
         assert tightness_ratio(frame, F) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_tightness_needs_a_nonzero_mean_zero_field(frame):
+    with pytest.raises(ZeroFieldError):
+        tightness_ratio(frame, HarmonicField.zeros(8))
+    with pytest.raises(ValueError, match="mean-zero"):
+        tightness_ratio(frame, HarmonicField.single_harmonic(0, 0, L=8))
 
 
 def test_tightness_via_empirical_bounds(frame):

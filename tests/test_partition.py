@@ -283,6 +283,21 @@ def test_greedy_partition_structure():
     assert np.all(part.measures() >= cap_area * 0.97)
 
 
+def test_greedy_label_blocks_fit_the_chunk_budget(monkeypatch):
+    from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS
+    real = partition_module._greedy_label_block
+    sizes = []
+
+    def recording(centers, t, xyz):
+        sizes.append(len(xyz) * len(centers) * 3)  # geodesic_distance's product
+        return real(centers, t, xyz)
+
+    monkeypatch.setattr(partition_module, "_greedy_label_block", recording)
+    part = greedy_ball_partition(0.3, candidates=2000, grid_theta=128)
+    assert part.n_cells == 32 and len(sizes) > 1
+    assert max(sizes) <= _TARGET_CHUNK_FLOATS
+
+
 def test_greedy_locate_consistent_with_labels():
     part = greedy_ball_partition(0.9, candidates=500, grid_theta=128)
     rng = np.random.default_rng(3)

@@ -108,10 +108,10 @@ def test_order_space_normal_on_cubature_grid(degree, L_in, L_out):
 
 
 def test_order_space_needs_weights():
+    # every grid carries its quadrature weights from construction on
     grid = build_partition(0, 2.0, 0.6).grid
-    bare = type(grid)(grid.theta, grid.phi0, grid.counts)
-    with pytest.raises(ValueError):
-        bare.energy(np.ones(n_coeffs(2)))
+    with pytest.raises(TypeError, match="row_weight"):
+        type(grid)(grid.theta, grid.phi0, grid.counts)
 
 
 def _check_block(grid, L_in, L_out, k, seed):
