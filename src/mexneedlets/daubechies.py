@@ -10,11 +10,10 @@ filters on the sqrt-eigenvalue axis).  g is sigma-periodic in log x and
 its extrema A <= g <= B are the frame-bound constants; their log-average
 over one period is c / ln(sigma) with c the Calderon constant.
 
-Every full ladder sum, for one lam or many, goes through one walk,
-``_ladder_sums``: outward from the rung nearest the summand's peak, in
-blocks of rungs with one filter call per block.  Its result equals a walk
-of one rung at a time bit for bit (the tests keep that walk as their
-reference).
+Every ladder sum, full or one-sided, goes through one walk, ``_ladder_walk``.
+Full sums (``_ladder_sums``) walk both ways from the rung nearest the peak,
+bit for bit a walk of one rung at a time (the tests keep that walk as their
+reference); the tails of ``needlets`` and ``frame`` walk one way.
 """
 
 import math
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import calderon_constant
+from .sphgrid import _TARGET_CHUNK_FLOATS
 
 _TAIL_REL = 1e-18
 _MAX_TERMS = 20000  # rungs per direction
@@ -51,53 +51,66 @@ def _peak_rung(lam, sigma):
     return lam * sigma ** (-round(math.log(lam) / math.log(sigma)))
 
 
-def _ladder_sums(filt, a, lams):
-    """Ladder sums g(lam) at every lam of ``lams``: the one walk along a ladder.
+def _span_rungs(sigma):
+    """Rungs spanning a factor ``_BLOCK_SPAN`` along a ladder of step sigma (at least 2)."""
+    return max(2, math.ceil(math.log(_BLOCK_SPAN) / math.log(sigma)))
 
-    From the rung nearest the summand's peak each tail is extended until
-    two consecutive terms fall below ``_TAIL_REL`` relative to the running
-    sum; beyond its single interior peak the mexican summand decreases
-    monotonically in both directions, so this certifies the truncation.
-    Cutoff filters terminate exactly.
 
-    Rungs are taken in blocks spanning a factor ``_BLOCK_SPAN`` in x, one
-    filter call per block for every ladder still walking.  ``cumprod``
-    from the current rung gives the rungs and ``cumsum`` seeded with the
-    running total gives the sums, so each ladder takes the same products
-    and the same left-to-right additions as a walk one rung at a time, and
-    the result does not depend on the block size or on which other lams
-    share the call.  The block span bounds how far a block runs past the
-    stop, which keeps s^r of the mexican filter from overflowing there.
+def _ladder_walk(filt, a, x, total, direction):
+    """Running totals carried outward from the rungs ``x``: the one walk along a ladder.
+
+    Per entry, adds |f(x sigma^{+-k})|^2 for k = 1, 2, ... (the sign of
+    ``direction``) to ``total`` until this term and the previous one are
+    both below ``_TAIL_REL`` relative to the running sum; beyond its single
+    interior peak the mexican summand decreases monotonically, so this
+    certifies the truncation, and cutoff filters terminate exactly.  A walk
+    past ``_MAX_TERMS`` rungs raises ``ValueError``.
+
+    Rungs are taken in blocks spanning a factor ``_BLOCK_SPAN`` in x (fewer
+    where a block would pass the chunk budget), one filter call per block
+    for every ladder still walking.  ``cumprod`` from the current rung
+    gives the rungs and ``cumsum`` seeded with the running total gives the
+    sums, so each ladder takes the same products and the same left-to-right
+    additions as a walk one rung at a time, whatever the block size and the
+    other ladders of the call.  The block span bounds how far a block runs
+    past the stop, which keeps s^r of the mexican filter from overflowing.
     """
     sigma = _ladder_step(filt, a)
-    x_peak = np.array([_peak_rung(lam, sigma) for lam in lams])
-    # float_power is libm pow, like float ** 2 in a walk of one rung at a time
-    total = np.float_power(filt(x_peak), 2)
-    block = max(2, math.ceil(math.log(_BLOCK_SPAN) / math.log(sigma)))
-    for direction in (sigma, 1.0 / sigma):
-        x = x_peak.copy()
-        small = np.zeros(x.shape, dtype=bool)  # was the last term taken below the tail level
-        live = np.arange(x.size)
-        for start in range(0, _MAX_TERMS, block):
-            width = min(block, _MAX_TERMS - start)
-            steps = np.full((live.size, width + 1), direction)
-            steps[:, 0] = x[live]
-            rungs = np.cumprod(steps, axis=1)[:, 1:]
-            terms = np.float_power(filt(rungs), 2)
-            sums = np.column_stack((total[live], terms)).cumsum(axis=1)[:, 1:]
-            tiny = terms <= _TAIL_REL * sums
-            stop = tiny & np.column_stack((small[live], tiny[:, :-1]))
-            done = stop.any(axis=1)
-            last = np.where(done, stop.argmax(axis=1), width - 1)
-            total[live] = sums[np.arange(live.size), last]
-            x[live] = rungs[:, -1]
-            small[live] = tiny[:, -1]
-            live = live[~done]
-            if live.size == 0:
-                break
-        else:
-            raise RuntimeError("ladder sum failed to converge")
+    step = sigma if direction > 0 else 1.0 / sigma
+    x, total = np.array(x, dtype=float), np.array(total, dtype=float)
+    small = np.zeros(x.shape, dtype=bool)  # was the last term taken below the tail level
+    live = np.arange(x.size)
+    taken = 0
+    while live.size:
+        if taken == _MAX_TERMS:
+            raise ValueError("ladder sum at dilation a = %r does not converge within %d rungs"
+                             % (a, _MAX_TERMS))
+        width = min(_span_rungs(sigma), _MAX_TERMS - taken,
+                    max(2, _TARGET_CHUNK_FLOATS // live.size))
+        steps = np.full((live.size, width + 1), step)
+        steps[:, 0] = x[live]
+        rungs = np.cumprod(steps, axis=1)[:, 1:]
+        # float_power is libm pow, like float ** 2 in a walk of one rung at a time
+        terms = np.float_power(filt(rungs), 2)
+        sums = np.column_stack((total[live], terms)).cumsum(axis=1)[:, 1:]
+        tiny = terms <= _TAIL_REL * sums
+        stop = tiny & np.column_stack((small[live], tiny[:, :-1]))
+        done = stop.any(axis=1)
+        last = np.where(done, stop.argmax(axis=1), width - 1)
+        total[live] = sums[np.arange(live.size), last]
+        x[live] = rungs[:, -1]
+        small[live] = tiny[:, -1]
+        live = live[~done]
+        taken += width
     return total
+
+
+def _ladder_sums(filt, a, lams):
+    """Ladder sums g(lam) at every lam of ``lams``: both walks from the rung nearest the peak."""
+    sigma = _ladder_step(filt, a)
+    x_peak = np.array([_peak_rung(lam, sigma) for lam in lams])
+    upward = _ladder_walk(filt, a, x_peak, np.float_power(filt(x_peak), 2), 1)
+    return _ladder_walk(filt, a, x_peak, upward, -1)
 
 
 def truncated_daubechies_sum(filt, a, lam, M, N):

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daubechies import eigen_daubechies_sum
+from .daubechies import (_ladder_step, _ladder_walk, _span_rungs, eigen_daubechies_sum,
+                         filter_axis)
 from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
 from .harmonics import (band_of_length, degree_of_index, n_coeffs, real_sh_matrix,
@@ -51,38 +52,24 @@ def default_scale_window(filt, a, L_max):
     Chosen so that the windowed ladder sum retains a (1 - ADEQUACY_EPS)
     fraction of the full sum at every eigenvalue carried by the band
     limit; the low-j edge is driven by lambda_{L_max}, the high-j edge by
-    lambda_1.
+    lambda_1.  Each edge is the scale nearest the summand's peak whose
+    one-sided tail beyond it fits half the budget; the tails are ladder
+    walks from blocks of candidate edges as long as the walk's blocks.
     """
-    lam_hi = sphere_eigenvalue(L_max)
-    lam_lo = sphere_eigenvalue(1)
+    sigma = _ladder_step(filt, a)
 
-    def tail_edge(lam, direction):
-        g = eigen_daubechies_sum(filt, a, lam)
-        budget = 0.5 * ADEQUACY_EPS * g
-        floor = 1e-25 * g
-        j_peak = int(round(-math.log(lam) / (2.0 * math.log(a))))
-        js, terms = [], []
-        j = j_peak
+    def edge(lam, direction):
+        budget = 0.5 * ADEQUACY_EPS * eigen_daubechies_sum(filt, a, lam)
+        j_peak = round(-math.log(lam) / (2.0 * math.log(a)))
+        js = j_peak + direction * np.arange(_span_rungs(sigma))
         while True:
-            w = float(filt.multiplier(a ** j, lam))
-            js.append(j)
-            terms.append(w * w)
-            j += direction
-            if terms[-1] < floor and len(terms) > 2:
-                break
-            if abs(j) > 20000:
-                raise RuntimeError("scale window search failed")
-        # drop scales from the far end inward while the dropped mass fits
-        dropped = 0.0
-        for idx in range(len(terms) - 1, -1, -1):
-            if dropped + terms[idx] > budget:
-                return js[idx]
-            dropped += terms[idx]
-        return j_peak
+            fits = _ladder_walk(filt, a, filter_axis(filt, lam) * sigma ** js, np.zeros(js.size),
+                                direction) <= budget
+            if fits.any():
+                return int(js[fits.argmax()])
+            js = js + direction * js.size
 
-    j_lo = tail_edge(lam_hi, -1)
-    j_hi = tail_edge(lam_lo, +1)
-    return j_lo, j_hi
+    return edge(sphere_eigenvalue(L_max), -1), edge(sphere_eigenvalue(1), 1)
 
 
 class FrameSpec:

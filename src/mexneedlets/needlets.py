@@ -12,7 +12,10 @@ content above the largest cut degree raise ``BandLimitError``.
 The hybrid estimates quantify what happens when the mexican filter (not
 compactly supported) is combined with the same cubature sampling: tail
 sums epsilon_3 / epsilon_4 and the scale-crossing index with its
-logarithmic bracket.
+logarithmic bracket.  Every tail sum (epsilon_3 over all grid points,
+epsilon_4 over all degrees, and the lhs of ``tail_bound_lhs_rhs``) is a
+one-sided ladder walk of ``daubechies`` from the first scale past its
+threshold, which an array bisection finds with the threshold's strict >.
 """
 
 import math
@@ -21,10 +24,14 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .cubature import cubature_rule
+from .daubechies import _ladder_walk
+from .filters import SpectralFilter
 from .frame import analyze, frame_element, rayleigh_quotient
 
 SPHERE_DIM = 2  # n of S^n in the hybrid estimates; the library works on S^2
 _CROSSING_TOL = 1e-10
+_TAIL_GRID_POINTS = 1000  # log grid of s over one period for eps3
+_MEXICAN = SpectralFilter("mexican", r=1)
 
 
 @dataclass
@@ -105,26 +112,17 @@ tightness_ratio = rayleigh_quotient
 def tail_bound_lhs_rhs(M, b, a):
     """Scale-tail sum of the mexican r=1 filter against its integral bound.
 
-    lhs = sum over scales with a^{2(j-1)} > M/b of |f(b a^{2j})|^2,
-    rhs = a^2/(a^2-1) e^{-2M} (M/2 + 1/4); requires M > 1/2 so the
-    integrand t e^{-2t} is decreasing on the summed range.
+    lhs = sum over scales with b a^{2j} > M a^2 of |f(b a^{2j})|^2 (the
+    scales with a^{2(j-1)} > M/b), rhs = a^2/(a^2-1) e^{-2M} (M/2 + 1/4);
+    requires M > 1/2 so the integrand t e^{-2t} is decreasing on the summed
+    range.
     """
     _require_finite(M=M, b=b, a=a)
     if M <= 0.5:
         raise ValueError("tail bound requires M > 1/2")
     if b <= 0 or a <= 1:
         raise ValueError("need b > 0 and a > 1")
-    j = int(math.floor(math.log(M / b) / (2.0 * math.log(a)))) - 1
-    while a ** (2 * (j - 1)) <= M / b:
-        j += 1
-    lhs = 0.0
-    while True:
-        s = b * a ** (2 * j)
-        term = (s * math.exp(-s)) ** 2
-        lhs += term
-        j += 1
-        if term < 1e-300 or (lhs > 0 and term < 1e-20 * lhs):
-            break
+    lhs = float(_tails_above(a, np.array([b]), lambda j: M * a * a)[0])
     rhs = a * a / (a * a - 1.0) * math.exp(-2.0 * M) * (M / 2.0 + 0.25)
     return lhs, rhs
 
@@ -193,50 +191,51 @@ def hybrid_cut_degree(j, N, a):
     return int(math.floor(x)) + 1
 
 
-def hybrid_tail_diagnostics(N, a, l_max, grid_points=1000):
+def _powers(a, n):
+    """a ** n per entry of the integer array n by Python's pow (numpy's may differ by 1 ulp)."""
+    exponents, where = np.unique(n, return_inverse=True)
+    return np.array([a ** int(e) for e in exponents])[where]
+
+
+def _tails_above(a, s, threshold):
+    """sum |f(a^{2j} s)|^2 over the scales j with a^{2j} s > threshold(j), per entry of s.
+
+    ``threshold`` is nonincreasing in j and constant from j = 1 on, so these
+    are all scales from the first one on: one upward ladder walk per entry.
+    """
+    j = np.floor(np.log(threshold(1) / s) / (2.0 * math.log(a))).astype(int)
+    # bisection for the first scale: two rungs below the constant part's
+    # crossing lie below the threshold, and past it and past j = 1 above
+    lo, hi = j - 2, np.maximum(j + 2, 1)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        above = _powers(a, 2 * mid) * s > threshold(mid)
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    x = _powers(a, 2 * hi) * s
+    return _ladder_walk(_MEXICAN, a, x, np.float_power(_MEXICAN(x), 2), 1)
+
+
+def hybrid_tail_diagnostics(N, a, l_max):
     """Numerical tail sums of the hybrid construction for one N.
 
     eps3 = max_s sum over a^{2j} > N a^2 / s of |f(a^{2j} s)|^2 (mexican
-    r=1), with the max over a log grid spanning one dyadic period (the
-    sum is exactly periodic under s -> a^2 s).  eps4 is the multiplicity-
-    weighted double sum over degrees up to l_max of the beyond-cut scale
-    tails.  Decay ratios against e^{-N} N and e^{-N} N^{n+3} are
-    reported, not asserted.
+    r=1), the max over a log grid of ``_TAIL_GRID_POINTS`` points spanning
+    one period (the sum is periodic under s -> a^2 s), all in one walk.
+    eps4 sums, weighted by multiplicity, the tails over a^{2j} lambda_l >
+    N a^2 + r a^2 (j-1)_- of all degrees 1..l_max in one walk.  Decay ratios
+    against e^{-N} N and e^{-N} N^{n+3} are reported, not asserted.
     """
     if not math.isfinite(N):
         raise ValueError("N must be finite, got %r" % (N,))
     if N <= 1:
         raise ValueError("need N > 1")
     r = hybrid_rate(a)
-
-    def scale_tail(s, threshold):
-        # sum |f(a^{2j} s)|^2 over scales with a^{2j} s > threshold(j)
-        j = int(math.floor(math.log(max(threshold(0), 1e-300) / s) / (2.0 * math.log(a)))) - 2
-        total = 0.0
-        while True:
-            x = a ** (2 * j) * s
-            if x > threshold(j):
-                term = (x * math.exp(-x)) ** 2
-                total += term
-                if x > 750.0:
-                    break
-            j += 1
-            if j > 4000:
-                break
-        return total
-
-    eps3 = 0.0
-    for s in np.exp(np.linspace(0.0, 2.0 * math.log(a), grid_points, endpoint=False)):
-        eps3 = max(eps3, scale_tail(float(s), lambda j: N * a * a))
-
-    def beyond_cut(j):
-        # scales past the per-degree cut: a^{2j} lam > N a^2 + r a^2 (j-1)_-
-        return N * a * a + r * a * a * max(1 - j, 0)
-
-    eps4 = 0.0
-    for l in range(1, int(l_max) + 1):
-        lam = l * (l + SPHERE_DIM - 1.0)
-        eps4 += (2 * l + 1) * scale_tail(lam, beyond_cut)
+    s = np.exp(np.linspace(0.0, 2.0 * math.log(a), _TAIL_GRID_POINTS, endpoint=False))
+    eps3 = float(np.max(_tails_above(a, s, lambda j: N * a * a)))
+    ls = np.arange(1, int(l_max) + 1)
+    tails = _tails_above(a, ls * (ls + SPHERE_DIM - 1.0),
+                         lambda j: N * a * a + r * a * a * np.maximum(1 - j, 0))
+    eps4 = float(sum((2 * ls + 1) * tails, 0.0))  # left to right, degree by degree
     return {
         "N": N,
         "a": a,

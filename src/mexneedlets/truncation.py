@@ -26,9 +26,9 @@ from .fields import evaluate_field
 from .frame import _check_field, _restricted, apply_summation
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs, sphere_eigenvalue
 from .cubature import cubature_rule
+from .sphgrid import _TARGET_CHUNK_FLOATS
 
 SPHERE_LAMBDA_1 = 2.0
-_CHUNK_FLOATS = 3_000_000  # bound on the harmonic matrix built per block of nodes
 
 
 def moment_constant(filt, J):
@@ -216,7 +216,7 @@ def _off_cap_energy(field, cap):
     e2 = np.cross(c, e1)
     ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2  # (n_phi, 3)
     row_weight = half * w * (2.0 * math.pi / n_phi)
-    rows_per_chunk = max(1, _CHUNK_FLOATS // (n_phi * n_coeffs(L)))
+    rows_per_chunk = max(1, _TARGET_CHUNK_FLOATS // (n_phi * n_coeffs(L)))
     energy = 0.0
     for start in range(0, L + 1, rows_per_chunk):
         rows = slice(start, start + rows_per_chunk)

@@ -269,3 +269,18 @@ def test_needlet_diag_n_must_be_finite(capsys):
         assert "error: --N must be finite" in captured.err
     assert run(["needlet-diag", "--N", "4,x"]) == 2
     assert "error: argument --N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["daubechies", "--a", "1.0001"],
+    ["frame-verify", "--a", "1.0001", "--l-max", "4", "--trials", "2"],
+    ["truncation", "--a", "1.0001", "--j-min", "-2", "--j-max", "1", "--M", "1", "--N", "1"],
+    ["needlet-diag", "--a", "1.00001", "--N", "4", "--l-max", "4"],
+], ids=lambda argv: argv[0])
+def test_ladder_that_cannot_converge_exits_2(argv, capsys):
+    # the ladder walk runs out of rungs at dilations this close to 1
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ladder sum at dilation a = %s does not converge within "
+                            "20000 rungs\n" % argv[2])

@@ -7,7 +7,7 @@ import pytest
 from mexneedlets import (FrameSpec, SpectralFilter, calderon_constant, daubechies_bounds,
                          daubechies_sum, eigen_daubechies_sum, sphere_eigenvalue,
                          truncated_daubechies_sum, window_margin)
-from mexneedlets.daubechies import _MAX_TERMS, _TAIL_REL, _ladder_sums, _peak_rung
+from mexneedlets.daubechies import _MAX_TERMS, _TAIL_REL, _ladder_sums, _ladder_walk, _peak_rung
 
 MEX1 = SpectralFilter("mexican", 1)
 MEX2 = SpectralFilter("mexican", 2)
@@ -222,6 +222,31 @@ def test_walk_stops_at_the_first_two_small_terms():
         assert scalar_ladder_sum(filt, 2.0, 1.0) == k
         assert daubechies_sum(filt, 2.0, 1.0) == k
         assert np.array_equal(_ladder_sums(filt, 2.0, [1.0, 3.0, 1.0]), [k, k, k])
+
+
+class LoneSmallFilter(RungFilter):
+    """RungFilter with a single small term: 1e-10 at n = k only, then 1 at n = k + 1."""
+
+    def __call__(self, s):
+        n = np.rint(np.log2(s))
+        return np.select([n < 0, n < self.k, n == self.k, n == self.k + 1], [0.0, 1.0, 1e-10, 1.0],
+                         0.0)
+
+
+def test_one_sided_walk_stops_at_the_first_two_small_terms():
+    # from start rungs 2^0 and 2^1 with running totals 1 and 0.5, up and down
+    for k in range(2, 70):
+        up = _ladder_walk(RungFilter(k), 2.0, [1.0, 2.0], [1.0, 0.5], 1)
+        assert np.array_equal(up, [k, k - 1.5])
+        # one small term is not a stop: the walk goes on to the 1 at rung k + 1
+        assert np.array_equal(_ladder_walk(LoneSmallFilter(k), 2.0, [1.0], [1.0], 1), [k + 1])
+        down = _ladder_walk(RungFilter(k), 2.0, [2.0 ** (k + 3)], [0.0], -1)
+        assert np.array_equal(down, [1.0])
+
+
+def test_walk_out_of_rungs_raises_a_value_error_naming_the_dilation():
+    with pytest.raises(ValueError, match=r"dilation a = 1\.0001 does not converge"):
+        daubechies_sum(MEX1, 1.0001, 1.0)
 
 
 @pytest.mark.parametrize("filt, a", [(MEX1, A13), (NORM, 2.0), (CUT, 1.3)])

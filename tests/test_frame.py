@@ -10,8 +10,9 @@ from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          frame_element, greedy_ball_partition, kernel_series,
                          quadratic_form, rayleigh_quotient)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
-from mexneedlets.frame import _restricted
-from mexneedlets.harmonics import degree_of_index, n_coeffs
+from mexneedlets.daubechies import eigen_daubechies_sum
+from mexneedlets.frame import ADEQUACY_EPS, _restricted
+from mexneedlets.harmonics import degree_of_index, n_coeffs, sphere_eigenvalue
 from mexneedlets.sphgrid import BandGrid
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -246,6 +247,41 @@ def test_default_scale_window_margins():
     g = eigen_daubechies_sum(MEX1, A13, 20.0)
     g_narrow = truncated_daubechies_sum(MEX1, A13, 20.0, -(j_lo + 1), j_hi + 40)
     assert g - g_narrow > 0.5e-6 * g
+
+
+def reference_scale_window(filt, a, L_max):
+    """The edge search of ``default_scale_window`` one multiplier at a time, as it was before
+    its tails went through the ladder walk: terms out to 1e-25 of the full sum, then
+    scales dropped from the far end inward while the dropped mass fits half the budget."""
+
+    def tail_edge(lam, direction):
+        g = eigen_daubechies_sum(filt, a, lam)
+        budget = 0.5 * ADEQUACY_EPS * g
+        j_peak = int(round(-math.log(lam) / (2.0 * math.log(a))))
+        js, terms = [], []
+        j = j_peak
+        while len(terms) <= 2 or terms[-1] >= 1e-25 * g:
+            w = float(filt.multiplier(a ** j, lam))
+            js.append(j)
+            terms.append(w * w)
+            j += direction
+        dropped = 0.0
+        for idx in range(len(terms) - 1, -1, -1):
+            if dropped + terms[idx] > budget:
+                return js[idx]
+            dropped += terms[idx]
+        return j_peak
+
+    return tail_edge(sphere_eigenvalue(L_max), -1), tail_edge(sphere_eigenvalue(1), 1)
+
+
+@pytest.mark.parametrize("filt", [SpectralFilter("mexican", r) for r in (1, 2, 3)]
+                         + [SpectralFilter("cutoff_bump"), SpectralFilter("normalized_cutoff")],
+                         ids=lambda f: f.name)
+def test_default_scale_window_equals_the_scale_by_scale_search(filt):
+    for a in (1.05, A13, math.sqrt(2.0), 2.0, 3.0):
+        for L_max in (1, 4, 32, 127):
+            assert default_scale_window(filt, a, L_max) == reference_scale_window(filt, a, L_max)
 
 
 def test_band_adequacy_residual():

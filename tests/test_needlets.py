@@ -179,7 +179,7 @@ def test_hybrid_cut_degree_rules():
 
 
 def test_hybrid_tail_diagnostics_decay():
-    recs = [hybrid_tail_diagnostics(N, A13, 32, grid_points=200) for N in (4.0, 8.0, 12.0)]
+    recs = [hybrid_tail_diagnostics(N, A13, 32) for N in (4.0, 8.0, 12.0)]
     eps3 = [r["eps3"] for r in recs]
     eps4 = [r["eps4"] for r in recs]
     assert eps3[0] > eps3[1] > eps3[2]
@@ -189,10 +189,105 @@ def test_hybrid_tail_diagnostics_decay():
         assert r["eps3_ratio"] < 0.01 and r["eps4_ratio"] < 0.01
 
 
+def reference_scale_tail(a, s, threshold):
+    """sum |f(a^{2j} s)|^2 over the scales with a^{2j} s > threshold(j), one rung at a time.
+
+    The scalar loop the hybrid tails used before they went through the
+    ladder walk, with its own stops (x > 750, j > 4000), except that it
+    starts two rungs below the crossing of the constant part threshold(1):
+    the old start came from threshold(0), which lies past the first rung
+    when (N + r) / N > a^4, and then dropped the leading eps4 terms.
+    """
+    j = int(math.floor(math.log(threshold(1) / s) / (2.0 * math.log(a)))) - 2
+    total = 0.0
+    while True:
+        x = a ** (2 * j) * s
+        if x > threshold(j):
+            term = (x * math.exp(-x)) ** 2
+            total += term
+            if x > 750.0:
+                break
+        j += 1
+        if j > 4000:
+            break
+    return total
+
+
+def reference_hybrid_tails(N, a, l_max):
+    """(eps3, eps4) from ``reference_scale_tail``, one grid point and one degree at a time."""
+    r = hybrid_rate(a)
+    grid = np.exp(np.linspace(0.0, 2.0 * math.log(a), 1000, endpoint=False))
+    eps3 = max(reference_scale_tail(a, float(s), lambda j: N * a * a) for s in grid)
+    eps4 = 0.0
+    for l in range(1, l_max + 1):
+        eps4 += (2 * l + 1) * reference_scale_tail(
+            a, l * (l + 1.0), lambda j: N * a * a + r * a * a * max(1 - j, 0))
+    return eps3, eps4
+
+
+@pytest.mark.parametrize("a", [1.05, 1.3, A13, 2.0])
+def test_hybrid_tails_match_the_rung_by_rung_reference(a):
+    # N = 2 at a = 1.05 has its first eps4 rungs below the old loop's start
+    for N in (2.0, 4.0, 12.0, 20.0):
+        rec = hybrid_tail_diagnostics(N, a, 16)
+        eps3, eps4 = reference_hybrid_tails(N, a, 16)
+        assert rec["eps3"] == pytest.approx(eps3, rel=1e-14)
+        assert rec["eps4"] == pytest.approx(eps4, rel=1e-14)
+
+
+def reference_tail_bound_lhs(M, b, a):
+    """lhs of ``tail_bound_lhs_rhs`` one rung at a time, as it was summed before the ladder walk."""
+    j = int(math.floor(math.log(M / b) / (2.0 * math.log(a)))) - 1
+    while a ** (2 * (j - 1)) <= M / b:
+        j += 1
+    lhs = 0.0
+    while True:
+        s = b * a ** (2 * j)
+        term = (s * math.exp(-s)) ** 2
+        lhs += term
+        j += 1
+        if term < 1e-300 or (lhs > 0 and term < 1e-20 * lhs):
+            break
+    return lhs
+
+
+def test_tail_bound_lhs_matches_the_rung_by_rung_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        M = 0.5 + 40.0 * rng.random()
+        b = 0.01 + rng.random()
+        a = 1.02 + 2.0 * rng.random()
+        lhs, _ = tail_bound_lhs_rhs(M, b, a)
+        assert lhs == pytest.approx(reference_tail_bound_lhs(M, b, a), rel=1e-14)
+
+
+def test_hybrid_tails_near_one_dilation_equal_a_fixed_range_sum():
+    # at a = 1.0001 the first eps3 rung is j ~ 6930, past the old loop's
+    # j <= 4000, which then reported eps3 = 0
+    a, N = 1.0001, 4.0
+    rec = hybrid_tail_diagnostics(N, a, 2)
+    js = np.arange(-3000, 21000)  # a^{2j} from 0.55 to 67; the rungs past it add < 1e-52
+    powers = a ** (2.0 * js)
+    grid = np.exp(np.linspace(0.0, 2.0 * math.log(a), 1000, endpoint=False))
+    eps3 = 0.0
+    for rows in np.array_split(grid, 10):
+        x = np.outer(rows, powers)
+        eps3 = max(eps3, float(np.max(np.sum(np.where(x > N * a * a, (x * np.exp(-x)) ** 2, 0.0),
+                                              axis=1))))
+    eps4 = 0.0
+    for l in (1, 2):
+        x = l * (l + 1.0) * powers
+        above = x > N * a * a + hybrid_rate(a) * a * a * np.maximum(1 - js, 0)
+        eps4 += (2 * l + 1) * float(np.sum(np.where(above, (x * np.exp(-x)) ** 2, 0.0)))
+    assert eps3 > 3.7
+    assert rec["eps3"] == pytest.approx(eps3, rel=1e-12)
+    assert rec["eps4"] == pytest.approx(eps4, rel=1e-12)
+
+
 def test_hybrid_tail_diagnostics_rejects_non_finite_n():
     for N in (math.inf, math.nan):
         with pytest.raises(ValueError, match="N must be finite"):
-            hybrid_tail_diagnostics(N, A13, 4, grid_points=10)
+            hybrid_tail_diagnostics(N, A13, 4)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])
