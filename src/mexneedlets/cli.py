@@ -226,22 +226,16 @@ def cmd_spatial(args):
         coeffs[sh_index(l, 0)] = math.exp(-l * (l + 1) * 0.02) * math.sqrt(2 * l + 1)
     field = HarmonicField(coeffs / np.linalg.norm(coeffs))
     fb = empirical_frame_bounds(spec, trials=20, seed=args.seed)
-    sweep = []
-    c = args.c
-    for _ in range(args.doublings + 1):
-        rep = spatial_truncation_report(spec, field, cap, c, args.i_decay, b_emp=fb.upper)
-        rec = dataclasses.asdict(rep)
-        rec["c"] = c
-        rec["dropped_norm_sq"] = rep.measured ** 2
-        sweep.append(rec)
-        c *= 2.0
+    cs = [args.c * 2.0 ** i for i in range(args.doublings + 1)]
+    reports = spatial_truncation_report(spec, field, cap, cs, args.i_decay, b_emp=fb.upper)
+    sweep = [dict(dataclasses.asdict(rep), c=c, dropped_norm_sq=rep.measured ** 2)
+             for c, rep in zip(cs, reports)]
     doc = {"B_emp": fb.upper, "cap_radius": args.cap_radius, "sweep": sweep,
            "seed": args.seed, "L_max": spec.L_max,
            "j_range": [spec.j_min, spec.j_max]}
     for rec in sweep:
-        print("c=%-8g dropped-form=%.6g measured=%.6g structural=%.6g"
-              % (rec["c"], rec["dropped_quadratic_form"], rec["measured"],
-                 rec["structural_factor"]))
+        print("c=%(c)-8g dropped-form=%(dropped_quadratic_form).6g measured=%(measured).6g "
+              "structural=%(structural_factor).6g" % rec)
     if args.out:
         _dump_json(doc, args.out)
     return EXIT_OK

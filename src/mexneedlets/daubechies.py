@@ -27,6 +27,7 @@ from .sphgrid import _TARGET_CHUNK_FLOATS
 _TAIL_REL = 1e-18
 _MAX_TERMS = 20000  # rungs per direction
 _BLOCK_SPAN = 1e6
+_WALK_CHUNK_CELLS = _TARGET_CHUNK_FLOATS // 8  # a block holds about eight work arrays at once
 
 
 def _ladder_step(filt, a):
@@ -67,7 +68,7 @@ def _ladder_walk(filt, a, x, total, direction):
     past ``_MAX_TERMS`` rungs raises ``ValueError``.
 
     Rungs are taken in blocks spanning a factor ``_BLOCK_SPAN`` in x (fewer
-    where a block would pass the chunk budget), one filter call per block
+    where a block would pass ``_WALK_CHUNK_CELLS``), one filter call per block
     for every ladder still walking.  ``cumprod`` from the current rung
     gives the rungs and ``cumsum`` seeded with the running total gives the
     sums, so each ladder takes the same products and the same left-to-right
@@ -86,7 +87,7 @@ def _ladder_walk(filt, a, x, total, direction):
             raise ValueError("ladder sum at dilation a = %r does not converge within %d rungs"
                              % (a, _MAX_TERMS))
         width = min(_span_rungs(sigma), _MAX_TERMS - taken,
-                    max(2, _TARGET_CHUNK_FLOATS // live.size))
+                    max(2, _WALK_CHUNK_CELLS // live.size))
         steps = np.full((live.size, width + 1), step)
         steps[:, 0] = x[live]
         rungs = np.cumprod(steps, axis=1)[:, 1:]

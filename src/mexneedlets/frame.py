@@ -22,8 +22,8 @@ sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
 (``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
 meets order m' only where n divides m - m' or m + m', grouped by
 n_eff = min(n, L_in + L_out + 1)).  A mask selects single points, so a scale
-listed in ``masks`` goes through point values, synthesized once and read
-by both the form and the summation, as do ``analyze`` and the elements.
+listed in ``masks`` goes through point values (as do ``analyze`` and the
+elements), synthesized once and read by both parts for every mask column.
 
 The per-scale sums take a coefficient block of k fields as readily as one
 field (the grids' batch axis), so ``empirical_frame_bounds`` sends all its
@@ -164,11 +164,10 @@ def _scale_terms(frame, coeffs, scales=None):
             yield j, grid, w, _weighted(w, coeffs)
 
 
-def _masked_weights(grid, masks, j):
-    """mu_{j,k} zeroed outside the mask of scale j, or None if j carries no mask."""
-    if masks is None or j not in masks:
-        return None
-    return np.where(masks[j], grid.point_weights(), 0.0)
+def _masked_weights(grid, mask):
+    """Rows mu_{j,k} zeroed outside each column of a (points,) or (points, k) mask."""
+    return [np.where(column, grid.point_weights(), 0.0)
+            for column in np.reshape(mask, (grid.n_points, -1)).T]
 
 
 def analyze(frame, field):
@@ -192,27 +191,33 @@ def _restricted(frame, coeffs, scales=None, masks=None, form=True, summation=Tru
     """(<S_I F, F>, S_I F) over the selected index set; None for a part not asked for.
 
     ``coeffs`` is one field's coefficient vector, or a block of fields when
-    no scale is masked.  An unmasked scale stays in Fourier-order space; a
-    masked scale synthesizes its point values once for both parts.
+    no scale is masked.  An unmasked scale stays in Fourier-order space.  A
+    masked scale synthesizes its point values once and reads them for both
+    parts and each column of its (points, k) mask, giving k forms and an
+    (n_coeffs, k) block of sums; a 1-D mask is a block of one.
     """
+    shape = np.shape(next(iter(masks.values())))[1:] if masks else coeffs.shape[1:]
     total = 0.0 if form else None
-    out = np.zeros((n_coeffs(_band_limit(frame)),) + coeffs.shape[1:]) if summation else None
+    out = np.zeros((n_coeffs(_band_limit(frame)),) + shape) if summation else None
     for j, grid, w, c in _scale_terms(frame, coeffs, scales):
         L = len(w) - 1
-        mu = _masked_weights(grid, masks, j)
+        mu = None if masks is None or j not in masks else _masked_weights(grid, masks[j])
         values = None if mu is None else grid.synthesis(c)
         if form:
-            total = total + (grid.energy(c) if mu is None else float(np.dot(mu, values * values)))
+            total = total + (grid.energy(c) if mu is None else
+                             np.reshape([np.dot(row, values * values) for row in mu], shape))
         if summation:
-            Sc = grid.normal(c, L) if mu is None else grid.adjoint(mu * values, L)
-            out[: n_coeffs(L)] += (w[degree_of_index(L)] * Sc.T).T
+            Sc = grid.normal(c, L) if mu is None else np.stack(
+                [grid.adjoint(row * values, L) for row in mu], axis=-1).reshape((-1,) + shape)
+            # transposed, so an unmasked scale's vector meets every mask column
+            out[: n_coeffs(L)].T[...] += w[degree_of_index(L)] * Sc.T
     return total, out
 
 
 def quadratic_form(frame, field, scales=None, masks=None):
     """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over the selected index set."""
-    return _restricted(frame, _check_field(frame, field).coeffs, scales, masks,
-                       summation=False)[0]
+    return float(_restricted(frame, _check_field(frame, field).coeffs, scales, masks,
+                             summation=False)[0])
 
 
 def apply_summation(frame, field, scales=None, masks=None):

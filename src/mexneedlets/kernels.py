@@ -23,6 +23,7 @@ from .errors import SeriesOverflowError, UnsupportedFilterError
 
 _MAX_SERIES_DEGREE = 10 ** 6
 DEFAULT_T_CROSS = 0.2
+MAX_DIFF_TOL = 1e-10  # series tail of series_gaussian_max_diff
 
 
 def band_weight(filt, t, ls, convention="laplacian"):
@@ -179,11 +180,11 @@ def kernel_profile(filt, t, n_theta, method="auto", tol=1e-8, convention="laplac
                          filter_name=filt.name, convention=convention)
 
 
-def series_gaussian_max_diff(t, n_theta=10001, tol=1e-10):
+def series_gaussian_max_diff(t, n_theta=10001):
     """max over a theta grid of |series - Gaussian approximation| (mexican r=1)."""
     from .filters import SpectralFilter
 
     thetas = np.linspace(-math.pi, math.pi, int(n_theta))
-    series = kernel_series(SpectralFilter("mexican", 1), t, np.cos(thetas), tol=tol)
+    series = kernel_series(SpectralFilter("mexican", 1), t, np.cos(thetas), tol=MAX_DIFF_TOL)
     approx = kernel_gaussian_approx(t, thetas)
     return float(np.max(np.abs(series - approx)))

@@ -170,22 +170,22 @@ class GeodesicCap:
         return np.maximum(d - self.radius, 0.0)
 
 
-def spatial_index_set(spec, cap, c_by_scale):
-    """Cells kept near the cap: {(j,k): d(x_{j,k}, Gamma) <= (c_j + 1) a^j}.
+def spatial_index_set(spec, cap, c):
+    """Per-scale masks of the cells kept near the cap, {(j,k): d(x_{j,k}, Gamma) <= (c + 1) a^j}.
 
-    Returns a per-scale boolean mask dict usable with the restricted
-    summation operator.
+    (cells,) masks for a scalar c; for k values, (cells, k) blocks whose
+    column i is the mask of c[i], from one distance pass per scale.
     """
+    cs = np.asarray(c, dtype=float)
+    if np.any(cs <= 0):
+        raise ValueError("c must be positive")
     masks = {}
     for j in spec.scales:
-        c_j = c_by_scale[j] if not np.isscalar(c_by_scale) else float(c_by_scale)
-        if c_j <= 0:
-            raise ValueError("c_j must be positive")
-        reach = (c_j + 1.0) * spec.a ** j
+        reach = (cs + 1.0) * spec.a ** j
         grid = spec.partitions[j].grid
-        mask = np.empty(grid.n_points, dtype=bool)
+        mask = np.empty((grid.n_points,) + cs.shape, dtype=bool)
         for sl, xyz in grid.block_iter():
-            mask[sl] = cap.distance(xyz) <= reach
+            mask[sl] = np.less_equal.outer(cap.distance(xyz), reach)
         masks[j] = mask
     return masks
 
@@ -261,33 +261,32 @@ class SpatialTruncationReport:
     dropped_quadratic_form: float
 
 
-def spatial_truncation_report(spec, field, cap, c_by_scale, I_decay, *, b_emp):
-    """Measured spatial truncation error against its structural envelope.
+def spatial_truncation_report(spec, field, cap, cs, I_decay, *, b_emp):
+    """Measured spatial truncation error against its structural envelope, one report per c in cs.
 
     ``measured`` is ||S F - S_kept F|| and ``dropped_quadratic_form`` is
-    <(S F - S_kept F), F>, both over the cells dropped by
-    ``spatial_index_set``.  ``structural_factor`` is
-    [mu(Gamma) sum_j a^{-2j} c_j^{2-2I}]^{1/2} ||chi F|| with the
-    approximate on-cap energy of ``cap_energy_split``.  ``leakage`` is
-    b_emp ||(1-chi) F||, exact in the off-cap energy, with b_emp an upper
+    <(S F - S_kept F), F>, both over the cells dropped by ``spatial_index_set``
+    at c.  The field check, cap energies, distances and syntheses run once per
+    sweep; ``_restricted`` reads each column of the mask blocks.
+    ``structural_factor`` is [mu(Gamma) sum_j a^{-2j} c^{2-2I}]^{1/2} ||chi F||
+    with the approximate on-cap energy of ``cap_energy_split``.  ``leakage``
+    is b_emp ||(1-chi) F||, exact in the off-cap energy, with b_emp an upper
     frame bound (the CLI passes a 20-trial empirical one).
     """
-    field = _check_field(spec, field)
-    masks = spatial_index_set(spec, cap, c_by_scale)
-    dropped = complement_masks(spec, masks)
-    dropped_form, summed = _restricted(spec, field.coeffs, masks=dropped)
-    measured = float(np.linalg.norm(summed))
-    chi_sq, leak_sq = cap_energy_split(spec, field, cap)
-    structural_sum = 0.0
-    for j in spec.scales:
-        c_j = c_by_scale[j] if not np.isscalar(c_by_scale) else float(c_by_scale)
-        structural_sum += spec.a ** (-2 * j) * c_j ** (2.0 - 2.0 * I_decay)
-    structural = math.sqrt(cap.area * structural_sum) * math.sqrt(chi_sq)
-    leakage = b_emp * math.sqrt(leak_sq)
-    kept = int(sum(int(np.sum(masks[j])) for j in spec.scales))
-    total = spec.total_cells()
-    return SpatialTruncationReport(
-        M=-spec.j_min, N=spec.j_max, cap_area=cap.area, I_decay=I_decay,
-        measured=measured, structural_factor=structural, leakage=leakage,
-        measured_to_structural=measured / structural if structural > 0 else math.inf,
-        kept_cells=kept, dropped_cells=total - kept, dropped_quadratic_form=dropped_form)
+    chi_sq, leak_sq = cap_energy_split(spec, field, cap)  # checks the field against the band
+    masks = spatial_index_set(spec, cap, cs)
+    forms, summed = _restricted(spec, field.coeffs, masks=complement_masks(spec, masks))
+    kept = sum(masks[j].sum(axis=0) for j in spec.scales)
+    reports = []
+    # norms of contiguous columns, the same bits as one field's S F - S_kept F
+    for c, form, column, kept_c in zip(cs, forms, np.ascontiguousarray(summed.T), kept):
+        measured = float(np.linalg.norm(column))
+        structural = math.sqrt(chi_sq) * math.sqrt(cap.area * sum(
+            spec.a ** (-2 * j) * c ** (2.0 - 2.0 * I_decay) for j in spec.scales))
+        reports.append(SpatialTruncationReport(
+            M=-spec.j_min, N=spec.j_max, cap_area=cap.area, I_decay=I_decay,
+            measured=measured, structural_factor=structural, leakage=b_emp * math.sqrt(leak_sq),
+            measured_to_structural=measured / structural if structural > 0 else math.inf,
+            kept_cells=int(kept_c), dropped_cells=spec.total_cells() - int(kept_c),
+            dropped_quadratic_form=float(form)))
+    return reports

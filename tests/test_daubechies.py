@@ -7,7 +7,8 @@ import pytest
 from mexneedlets import (FrameSpec, SpectralFilter, calderon_constant, daubechies_bounds,
                          daubechies_sum, eigen_daubechies_sum, sphere_eigenvalue,
                          truncated_daubechies_sum, window_margin)
-from mexneedlets.daubechies import _MAX_TERMS, _TAIL_REL, _ladder_sums, _ladder_walk, _peak_rung
+from mexneedlets.daubechies import (_MAX_TERMS, _TAIL_REL, _WALK_CHUNK_CELLS, _ladder_sums,
+                                    _ladder_walk, _peak_rung)
 
 MEX1 = SpectralFilter("mexican", 1)
 MEX2 = SpectralFilter("mexican", 2)
@@ -247,6 +248,30 @@ def test_one_sided_walk_stops_at_the_first_two_small_terms():
 def test_walk_out_of_rungs_raises_a_value_error_naming_the_dilation():
     with pytest.raises(ValueError, match=r"dilation a = 1\.0001 does not converge"):
         daubechies_sum(MEX1, 1.0001, 1.0)
+
+
+class RecordingFilter:
+    """A filter that records the number of arguments of every call."""
+
+    def __init__(self, filt):
+        self.filt = filt
+        self.dilation_exponent = filt.dilation_exponent
+        self.sizes = []
+
+    def __call__(self, s):
+        self.sizes.append(np.size(s))
+        return self.filt(s)
+
+
+def test_walk_blocks_fit_the_walk_cell_budget():
+    # at a = 1.0001 the downward walks run out of rungs, so every ladder takes
+    # blocks for the whole _MAX_TERMS rungs
+    filt = RecordingFilter(MEX1)
+    lams = np.exp(np.linspace(-5.0, 5.0, 1000)).tolist()
+    with pytest.raises(ValueError, match="does not converge"):
+        _ladder_sums(filt, 1.0001, lams)
+    assert len(filt.sizes) > 2
+    assert max(filt.sizes) <= _WALK_CHUNK_CELLS
 
 
 @pytest.mark.parametrize("filt, a", [(MEX1, A13), (NORM, 2.0), (CUT, 1.3)])

@@ -13,6 +13,7 @@ from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
                          spectral_tail_norm, window_margin)
 from mexneedlets.harmonics import sh_index
 from mexneedlets.sphgrid import BandGrid
+from mexneedlets import truncation
 from mexneedlets.truncation import cap_energy_split
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -210,7 +211,7 @@ def test_spatial_report_structure(spatial_spec, cap_field):
     # chi F -> F as the cap grows to the sphere: the leakage is b_emp times the
     # root energy beyond colatitude r, computed here from the Legendre series
     leakages = [spatial_truncation_report(spatial_spec, cap_field, GeodesicCap(NORTH, r),
-                                          2.0, 3.0, b_emp=fb_upper).leakage
+                                          [2.0], 3.0, b_emp=fb_upper)[0].leakage
                 for r in (0.6, 2.0, 3.1, math.pi)]
     assert all(x > y for x, y in zip(leakages, leakages[1:]))
     assert leakages[-1] == 0.0
@@ -219,32 +220,67 @@ def test_spatial_report_structure(spatial_spec, cap_field):
     assert leakages[2] == pytest.approx(fb_upper * math.sqrt(off_cap), rel=1e-8)
 
     cap = GeodesicCap(center=NORTH, radius=0.6)
-    rep1 = spatial_truncation_report(spatial_spec, cap_field, cap, 1.0, 3.0, b_emp=fb_upper)
-    rep2 = spatial_truncation_report(spatial_spec, cap_field, cap, 2.0, 3.0, b_emp=fb_upper)
+    rep1, rep2 = spatial_truncation_report(spatial_spec, cap_field, cap, [1.0, 2.0], 3.0,
+                                           b_emp=fb_upper)
     assert rep2.structural_factor < rep1.structural_factor
     assert rep2.measured <= rep1.measured + 1e-15
     assert rep1.kept_cells + rep1.dropped_cells == spatial_spec.total_cells()
     assert math.isfinite(rep1.measured_to_structural)
 
 
-def test_spatial_report_synthesizes_each_masked_scale_once(spatial_spec, cap_field,
-                                                            monkeypatch):
+SWEEP = (0.5, 1.0, 2.0, 4.0)
+
+
+def test_spatial_sweep_equals_per_c_restricted_operator(spatial_spec, cap_field):
     cap = GeodesicCap(center=NORTH, radius=0.6)
-    dropped = complement_masks(spatial_spec, spatial_index_set(spatial_spec, cap, 1.0))
-    measured = apply_summation(spatial_spec, cap_field, masks=dropped).norm()
-    form = quadratic_form(spatial_spec, cap_field, masks=dropped)
-    calls = []
-    synthesis = BandGrid.synthesis
+    reports = spatial_truncation_report(spatial_spec, cap_field, cap, SWEEP, 3.0, b_emp=0.7)
+    assert len(reports) == len(SWEEP)
+    for c, rep in zip(SWEEP, reports):
+        masks = spatial_index_set(spatial_spec, cap, c)
+        dropped = complement_masks(spatial_spec, masks)
+        assert rep.measured == apply_summation(spatial_spec, cap_field, masks=dropped).norm()
+        assert rep.dropped_quadratic_form == quadratic_form(spatial_spec, cap_field,
+                                                            masks=dropped)
+        assert rep.kept_cells == sum(int(np.sum(masks[j])) for j in spatial_spec.scales)
+        assert rep == spatial_truncation_report(spatial_spec, cap_field, cap, [c], 3.0,
+                                                b_emp=0.7)[0]
 
-    def counted(grid, coeffs):
-        calls.append(grid)
-        return synthesis(grid, coeffs)
 
-    monkeypatch.setattr(BandGrid, "synthesis", counted)
-    rep = spatial_truncation_report(spatial_spec, cap_field, cap, 1.0, 3.0, b_emp=1.0)
+def test_spatial_sweep_synthesizes_each_masked_scale_once(spatial_spec, cap_field, monkeypatch):
+    cap = GeodesicCap(center=NORTH, radius=0.6)
+    calls = {"synthesis": [], "block_iter": [], "_check_field": [], "cap_energy_split": []}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((BandGrid, "synthesis"), (BandGrid, "block_iter"),
+                        (truncation, "_check_field"), (truncation, "cap_energy_split")):
+        counted(owner, name)
+    spatial_truncation_report(spatial_spec, cap_field, cap, SWEEP, 3.0, b_emp=1.0)
     # one synthesis per masked scale, plus the cubature rule of cap_energy_split
-    assert len(calls) == len(spatial_spec.scales) + 1
-    assert (rep.measured, rep.dropped_quadratic_form) == (measured, form)
+    assert len(calls["synthesis"]) == len(spatial_spec.scales) + 1
+    # one distance pass per scale (the cubature nodes take one more block walk)
+    grids = [spatial_spec.partitions[j].grid for j in spatial_spec.scales]
+    assert [g for g in calls["block_iter"] if any(g is grid for grid in grids)] == grids
+    # one field check, inside cap_energy_split
+    assert len(calls["_check_field"]) == len(calls["cap_energy_split"]) == 1
+
+
+def test_spatial_index_set_sequence_stacks_scalar_calls(spatial_spec):
+    cap = GeodesicCap(center=NORTH, radius=0.6)
+    block = spatial_index_set(spatial_spec, cap, SWEEP)
+    columns = [spatial_index_set(spatial_spec, cap, c) for c in SWEEP]
+    for j in spatial_spec.scales:
+        assert np.array_equal(block[j], np.column_stack([masks[j] for masks in columns]))
+    for cs in ((1.0, 0.0), (2.0, -1.0, 4.0)):
+        with pytest.raises(ValueError):
+            spatial_index_set(spatial_spec, cap, cs)
 
 
 def test_off_cap_energy_exact_off_pole(spatial_spec):
