@@ -192,11 +192,11 @@ def cmd_truncation(args):
     fields = [HarmonicField.random_mean_zero(spec.L_max, rng)
               for _ in range(args.trials + args.calibrate)]
     calib, held_out = fields[:args.calibrate], fields[args.calibrate:]
-    c0_est = fit_riemann_constant(spec, calib, args.M, args.N, J=args.J,
+    c0_est = fit_riemann_constant(spec, calib, level, args.M, args.N, J=args.J,
                                   bounds=bounds) if calib else 0.0
     reports = []
     for f in held_out:
-        rep = frequency_bound(spec, spec.filter.vanishing_order, args.J, level, args.M, args.N,
+        rep = frequency_bound(spec, args.J, level, args.M, args.N,
                               spectral_tail_norm(f, level), f.norm(), bounds=bounds)
         rep.measured_error = measured_truncation_error(spec, f, args.M, args.N)
         reports.append(dataclasses.asdict(rep))

@@ -44,6 +44,7 @@ from .harmonics import (band_of_length, degree_of_index, n_coeffs, real_sh_matri
 from .partition import ScalePartition, build_partition
 
 ADEQUACY_EPS = 1e-6
+_EDGE_PROBES = 16  # candidate edges walked together per search round
 
 
 def default_scale_window(filt, a, L_max):
@@ -53,21 +54,29 @@ def default_scale_window(filt, a, L_max):
     fraction of the full sum at every eigenvalue carried by the band
     limit; the low-j edge is driven by lambda_{L_max}, the high-j edge by
     lambda_1.  Each edge is the scale nearest the summand's peak whose
-    one-sided tail beyond it fits half the budget; the tails are ladder
-    walks from blocks of candidate edges as long as the walk's blocks.
+    one-sided tail beyond it fits half the budget.  Tails shrink away from
+    the peak, so each edge is bracketed by doubling its distance and then
+    narrowed by rounds of ``_EDGE_PROBES`` candidates, one walk per round.
     """
     sigma = _ladder_step(filt, a)
 
     def edge(lam, direction):
         budget = 0.5 * ADEQUACY_EPS * eigen_daubechies_sum(filt, a, lam)
         j_peak = round(-math.log(lam) / (2.0 * math.log(a)))
-        js = j_peak + direction * np.arange(_span_rungs(sigma))
-        while True:
-            fits = _ladder_walk(filt, a, filter_axis(filt, lam) * sigma ** js, np.zeros(js.size),
+
+        def fits(ks):
+            js = j_peak + direction * ks
+            return _ladder_walk(filt, a, filter_axis(filt, lam) * sigma ** js, np.zeros(js.size),
                                 direction) <= budget
-            if fits.any():
-                return int(js[fits.argmax()])
-            js = js + direction * js.size
+
+        # no tail beyond rung j_peak + direction * lo fits (lo = -1: no rung yet); each
+        # round walks hi and up to _EDGE_PROBES candidates below it, and doubles hi if none fits
+        lo, hi = -1, _span_rungs(sigma)
+        while hi - lo > 1:
+            ks = np.append(np.arange(lo + 1, hi, -(-(hi - lo - 1) // _EDGE_PROBES)), hi)
+            ok = fits(ks)
+            lo, hi = int(ks[~ok].max(initial=lo)), (int(ks[ok].min()) if ok.any() else 2 * hi)
+        return j_peak + direction * hi
 
     return edge(sphere_eigenvalue(L_max), -1), edge(sphere_eigenvalue(1), 1)
 

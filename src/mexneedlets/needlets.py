@@ -87,7 +87,7 @@ def build_needlet_frame(g, j_min, j_max):
         l_cut = int(math.ceil(hi / t)) - 1
         if l_cut < 1:
             continue  # scale carries no degree >= 1
-        if l_cut > 512:
+        if l_cut > 256:  # its cubature rule, of degree 2 l_cut, must stay within degree 512
             raise ValueError("cut degree %d beyond desk scale at j=%d" % (l_cut, j))
         ls = np.arange(l_cut + 1)
         weights = g(t * ls.astype(float))

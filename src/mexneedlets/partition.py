@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 
+from .cubature import product_grid
 from .errors import CellCountOverflowError
 from .harmonics import geodesic_distance
 from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
@@ -229,15 +230,7 @@ def greedy_ball_partition(t, candidates=2000, grid_theta=512):
     if np.max(cover) >= 2.0 * t:
         warnings.warn("candidate set exhausted without certifying maximality")
 
-    x, w = np.polynomial.legendre.leggauss(grid_theta)
-    n_phi = 2 * grid_theta
-    theta = np.arccos(x)
-    label_grid = BandGrid(
-        theta=theta,
-        phi0=np.zeros(grid_theta),
-        counts=np.full(grid_theta, n_phi, dtype=np.int64),
-        row_weight=w * (2.0 * math.pi / n_phi),
-    )
+    label_grid = product_grid(grid_theta, 2 * grid_theta)
     # a label block's largest array is geodesic_distance's (points, centers, 3) product
     step = max(1, _TARGET_CHUNK_FLOATS // (3 * len(centers)))
     points = label_grid.points()

@@ -24,8 +24,8 @@ import numpy as np
 from .daubechies import _ladder_sums, filter_axis, truncated_daubechies_sum
 from .fields import evaluate_field
 from .frame import _check_field, _restricted, apply_summation
-from .harmonics import degree_of_index, geodesic_distance, n_coeffs, sphere_eigenvalue
-from .cubature import cubature_rule
+from .harmonics import degree_of_index, geodesic_distance, n_coeffs
+from .cubature import cubature_rule, product_grid
 from .sphgrid import _TARGET_CHUNK_FLOATS
 
 SPHERE_LAMBDA_1 = 2.0
@@ -68,7 +68,7 @@ class FrequencyBoundReport:
     measured_error: float = None
 
 
-def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, *, bounds):
+def frequency_bound(spec, J, L, M, N, tail_norm, F_norm, *, bounds):
     """Computable part of the frequency truncation bound (no C0 b term); B_a = bounds.B."""
     for name, value in (("J", J), ("L", L), ("M", M), ("N", N),
                         ("tail_norm", tail_norm), ("F_norm", F_norm)):
@@ -78,13 +78,12 @@ def frequency_bound(spec, l, J, L, M, N, tail_norm, F_norm, *, bounds):
         raise ValueError("decay order J must be a positive integer")
     if L <= 0:
         raise ValueError("projection level L must be positive")
-    if l < 1 or l != spec.filter.vanishing_order:
-        raise ValueError("l must match the filter vanishing order (>= 1)")
     if M < 0 or N < 0:
         raise ValueError("window sizes M, N must be nonnegative")
     if tail_norm < 0 or F_norm < 0:
         raise ValueError("norms tail_norm, F_norm must be nonnegative")
     a = spec.a
+    l = spec.filter.vanishing_order  # the l of c'_L
     f0_sup = spec.filter.f0_sup()
     c_prime = (L ** (2 * l)) * f0_sup ** 2 / (a ** (4 * l) - 1.0)
     m_j = moment_constant(spec.filter, J)
@@ -124,19 +123,18 @@ def window_margin(spec, M, N):
     return float(np.max((g - g_win) / g, initial=0.0))
 
 
-def fit_riemann_constant(spec, fields, M, N, J=1, *, bounds):
+def fit_riemann_constant(spec, fields, L, M, N, J=1, *, bounds):
     """Estimate of the non-constructive Riemann constant from calibration runs.
 
-    C0_est = max_F (measured - bound_without_C0b) / (b ||F||), clamped at 0.
-    Reported for context only; no inequality is asserted with it.
+    C0_est = max_F (measured - bound_without_C0b) / (b ||F||), clamped at 0,
+    with the bounds taken at projection level L.  Reported for context
+    only; no inequality is asserted with it.
     """
     worst = 0.0
-    level = sphere_eigenvalue(spec.L_max)
     for field in fields:
         field = _check_field(spec, field)
         measured = measured_truncation_error(spec, field, M, N)
-        rep = frequency_bound(spec, spec.filter.vanishing_order, J, level, M, N,
-                              spectral_tail_norm(field, level), field.norm(),
+        rep = frequency_bound(spec, J, L, M, N, spectral_tail_norm(field, L), field.norm(),
                               bounds=bounds)
         gap = (measured - rep.bound_without_C0b) / (spec.b * field.norm())
         worst = max(worst, gap)
@@ -198,32 +196,22 @@ def _off_cap_energy(field, cap):
     """||(1-chi) F||^2 by a product rule centred on the cap.
 
     With t = <x, center>, the complement of the cap is t in [-1, cos r].
-    L+1 Gauss-Legendre nodes in t on that interval times 2L+1 equispaced
-    longitudes about the center integrate F^2 (degree 2L) exactly: the
-    longitude sum keeps only the zonal part, a polynomial of degree 2L in
-    t.  Weights are positive and nothing is subtracted.
+    ``product_grid(L+1, 2L+1, cos r)``, turned so that its pole is the
+    center, integrates F^2 (degree 2L) exactly: the longitude sum keeps
+    only the zonal part, a polynomial of degree 2L in t.  Weights are
+    positive, nothing is subtracted, and the field is evaluated in blocks
+    of points whose harmonic matrices stay within the chunk budget.
     """
     L = field.L_max
-    half = 0.5 * (math.cos(cap.radius) + 1.0)  # exactly 0 when the cap is the sphere
-    x, w = np.polynomial.legendre.leggauss(L + 1)
-    t = half * (x + 1.0) - 1.0
-    s = np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))
-    n_phi = 2 * L + 1
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    grid = product_grid(L + 1, 2 * L + 1, math.cos(cap.radius))
     c = cap.center
     e1 = np.cross(c, [1.0, 0.0, 0.0] if abs(c[0]) < 0.9 else [0.0, 1.0, 0.0])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(c, e1)
-    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2  # (n_phi, 3)
-    row_weight = half * w * (2.0 * math.pi / n_phi)
-    rows_per_chunk = max(1, _TARGET_CHUNK_FLOATS // (n_phi * n_coeffs(L)))
-    energy = 0.0
-    for start in range(0, L + 1, rows_per_chunk):
-        rows = slice(start, start + rows_per_chunk)
-        xyz = s[rows, None, None] * ring + t[rows, None, None] * c
-        values = evaluate_field(field, xyz.reshape(-1, 3)).reshape(-1, n_phi)
-        energy += float(np.dot(row_weight[rows], np.sum(values ** 2, axis=1)))
-    return energy
+    xyz = grid.points() @ np.array([e1, np.cross(c, e1), c])
+    step = max(1, _TARGET_CHUNK_FLOATS // n_coeffs(L))
+    values = np.concatenate([evaluate_field(field, xyz[start:start + step])
+                             for start in range(0, len(xyz), step)])
+    return float(np.dot(grid.point_weights(), values ** 2))
 
 
 def cap_energy_split(spec, field, cap):

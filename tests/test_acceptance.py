@@ -93,9 +93,9 @@ def test_criterion_6_frequency_truncation():
 
     # computable bound strictly monotone in each window size
     bounds = daubechies_bounds(MEX1, A13)
-    in_m = [frequency_bound(spec, 1, 1, level, m, N, 0.0, 1.0,
+    in_m = [frequency_bound(spec, 1, level, m, N, 0.0, 1.0,
                             bounds=bounds).bound_without_C0b for m in range(8)]
-    in_n = [frequency_bound(spec, 1, 1, level, M, n, 0.0, 1.0,
+    in_n = [frequency_bound(spec, 1, level, M, n, 0.0, 1.0,
                             bounds=bounds).bound_without_C0b for n in range(8)]
     assert all(x > y for x, y in zip(in_m, in_m[1:]))
     assert all(x > y for x, y in zip(in_n, in_n[1:]))
@@ -114,7 +114,7 @@ def test_criterion_6_frequency_truncation():
         assert err <= 1e-4 * fb.upper * field.norm()
         worst = max(worst, err / (fb.upper * field.norm()))
     c0_est = fit_riemann_constant(spec, [HarmonicField.random_mean_zero(2, rng)],
-                                  M, N, bounds=bounds)
+                                  level, M, N, bounds=bounds)
     report(6, "window [-%d, %d], ladder margin %.3g <= 1e-6: measured error "
               "<= %.3g x B_emp ||F|| (allowed 1e-4); fitted C0_est = %.3g (reported only)"
            % (M, N, margin, worst, c0_est))

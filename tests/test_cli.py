@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mexneedlets import cli, truncation
 from mexneedlets.cli import main
 
 
@@ -105,6 +106,20 @@ def test_frame_verify_modes(tmp_path):
     assert abs(doc["ratio"] - 1.0) < 1e-8
 
 
+def test_truncation_fits_c0_at_the_level_of_its_reports(monkeypatch):
+    frequency_bound = truncation.frequency_bound
+    levels = []
+
+    def recording(spec, J, L, *args, **kwargs):
+        levels.append(L)
+        return frequency_bound(spec, J, L, *args, **kwargs)
+
+    monkeypatch.setattr(truncation, "frequency_bound", recording)  # the fit's bounds
+    monkeypatch.setattr(cli, "frequency_bound", recording)  # the reports' bounds
+    assert run(["truncation", "--L", "3", "--trials", "1", "--calibrate", "1"]) == 0
+    assert levels == [3.0, 3.0]
+
+
 def test_frame_verify_failure_exit_code():
     # scales so far out that every weight underflows to zero
     assert run(["frame-verify", "--l-max", "2", "--j-min", "13", "--j-max", "14",
@@ -116,6 +131,11 @@ def test_parameter_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
     assert run(["kernel-profile", "--t", "-1"]) == 2
     assert run(["partition", "--j", "-99", "--a", "1.26", "--b", "0.5"]) == 2
+
+
+def test_needlet_cut_beyond_desk_scale_names_the_scale(capsys):
+    assert run(["frame-verify", "--mode", "needlet", "--j-min", "-8", "--trials", "1"]) == 2
+    assert "at j=-8" in capsys.readouterr().err
 
 
 def test_non_finite_parameters_exit_2(tmp_path, capsys):

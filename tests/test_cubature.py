@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mexneedlets import cubature_rule, cubature_to_csv, real_sh_matrix
+from mexneedlets.cubature import product_grid
 from mexneedlets.harmonics import sh_index, sph_to_xyz
 
 
@@ -68,3 +69,37 @@ def test_csv_export(tmp_path):
     assert len(lines) == 1 + rule.n_nodes
     first = [float(v) for v in lines[1].split(",")]
     assert len(first) == 4 and first[3] > 0
+
+
+def reference_cubature_grid(m):
+    """The degree-m rule as ``cubature_rule`` built it before ``product_grid``."""
+    n_theta = (m + 3) // 2
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    order = np.argsort(-x)  # colatitude ascending
+    n_phi = m + 1
+    return (np.arccos(x[order]), np.zeros(n_theta), np.full(n_theta, n_phi, dtype=np.int64),
+            w[order] * (2.0 * math.pi / n_phi))
+
+
+def test_cubature_rules_equal_the_reference_bit_for_bit():
+    for m in range(41):
+        grid = cubature_rule(m).grid
+        theta, phi0, counts, row_weight = reference_cubature_grid(m)
+        assert np.array_equal(grid.theta, theta), m
+        assert np.array_equal(grid.phi0, phi0), m
+        assert np.array_equal(grid.counts, counts), m
+        assert np.array_equal(grid.row_weight, row_weight), m
+
+
+@pytest.mark.parametrize("zone", [1.0, 0.6, -0.3, math.cos(3.1)])
+def test_zone_rule_integrates_powers_of_cos_theta(zone):
+    # n Gauss nodes integrate t^k over [-1, zone] exactly for k < 2n; the ring adds 2 pi
+    n = 6
+    grid = product_grid(n, 5, zone)
+    assert np.all(np.diff(grid.theta) > 0)  # ascending colatitude
+    assert grid.theta[0] > math.acos(zone) - 1e-15
+    t = grid.points()[:, 2]
+    for k in range(2 * n):
+        exact = 2.0 * math.pi * (zone ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        got = float(np.dot(grid.point_weights(), t ** k))
+        assert got == pytest.approx(exact, rel=1e-13, abs=1e-13), k

@@ -366,3 +366,26 @@ def test_unmasked_form_and_summation_take_no_point_values(spec, field, monkeypat
         quadratic_form(spec, field, masks=masks)
     with pytest.raises(_PointValues):
         apply_summation(spec, field, masks=masks)
+
+
+class CountingFilter:
+    """A filter that counts the arguments it is called on."""
+
+    def __init__(self, filt):
+        self.filt = filt
+        self.cells = 0
+
+    def __getattr__(self, name):
+        return getattr(self.filt, name)
+
+    def __call__(self, x):
+        self.cells += np.size(x)
+        return self.filt(x)
+
+
+def test_default_scale_window_near_a_one_walks_few_cells():
+    # a scan walking every candidate edge to its own stop took 367,499 cells here;
+    # a bracketing search walks a few rounds of a few candidates each
+    filt = CountingFilter(MEX1)
+    assert default_scale_window(filt, 1.02, 32) == reference_scale_window(MEX1, 1.02, 32)
+    assert filt.cells < 60_000

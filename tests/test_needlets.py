@@ -107,6 +107,8 @@ def test_needlet_guards():
         build_needlet_frame(SpectralFilter("mexican", 1), -3, 0)
     with pytest.raises(ValueError):
         build_needlet_frame(NORM, -9, 0)  # cut degree beyond desk scale
+    with pytest.raises(ValueError, match="cut degree 511 beyond desk scale at j=-8"):
+        build_needlet_frame(NORM, -8, 0)  # a degree-1022 cubature rule
     with pytest.raises(ValueError):
         build_needlet_frame(NORM, 0, -1)
 

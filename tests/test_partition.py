@@ -283,6 +283,18 @@ def test_greedy_partition_structure():
     assert np.all(part.measures() >= cap_area * 0.97)
 
 
+def test_greedy_label_grid_is_the_reference_grid_with_rows_reversed():
+    # the label grid as it was built before ``product_grid``: descending colatitude
+    grid_theta = 64
+    x, w = np.polynomial.legendre.leggauss(grid_theta)
+    n_phi = 2 * grid_theta
+    grid = greedy_ball_partition(0.9, candidates=200, grid_theta=grid_theta).label_grid
+    assert np.array_equal(grid.theta, np.arccos(x)[::-1])
+    assert np.array_equal(grid.phi0, np.zeros(grid_theta))
+    assert np.array_equal(grid.counts, np.full(grid_theta, n_phi))
+    assert np.array_equal(grid.row_weight, (w * (2.0 * math.pi / n_phi))[::-1])
+
+
 def test_greedy_label_blocks_fit_the_chunk_budget(monkeypatch):
     from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS
     real = partition_module._greedy_label_block

@@ -6,13 +6,13 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
-                         apply_summation, complement_masks, daubechies_bounds,
+                         apply_summation, complement_masks, daubechies_bounds, evaluate_field,
                          empirical_frame_bounds, fit_riemann_constant, frequency_bound,
                          measured_truncation_error, moment_constant, quadratic_form,
                          spatial_index_set, spatial_truncation_report,
                          spectral_tail_norm, window_margin)
-from mexneedlets.harmonics import sh_index
-from mexneedlets.sphgrid import BandGrid
+from mexneedlets.harmonics import n_coeffs, sh_index
+from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 from mexneedlets import truncation
 from mexneedlets.truncation import cap_energy_split
 
@@ -49,7 +49,8 @@ def test_moment_constant_cutoff_support():
 
 
 def test_prefactor_arithmetic(spec, bounds):
-    rep = frequency_bound(spec, 1, 1, 2.0, 3, 3, 0.0, 1.0, bounds=bounds)
+    rep = frequency_bound(spec, 1, 2.0, 3, 3, 0.0, 1.0, bounds=bounds)
+    assert rep.l == MEX1.vanishing_order == 1
     assert rep.c_prime_L == pytest.approx(4.0 / (A13 ** 4 - 1.0), rel=1e-12)
     assert rep.c_prime_L == pytest.approx(2.632, abs=5e-4)
     m1 = moment_constant(MEX1, 1)
@@ -58,23 +59,21 @@ def test_prefactor_arithmetic(spec, bounds):
 
 
 def test_bound_monotonicity_and_limit(spec, bounds):
-    vals_M = [frequency_bound(spec, 1, 1, 6.0, M, 4, 0.0, 1.0, bounds=bounds).bound_without_C0b
+    vals_M = [frequency_bound(spec, 1, 6.0, M, 4, 0.0, 1.0, bounds=bounds).bound_without_C0b
               for M in range(8)]
-    vals_N = [frequency_bound(spec, 1, 1, 6.0, 4, N, 0.0, 1.0, bounds=bounds).bound_without_C0b
+    vals_N = [frequency_bound(spec, 1, 6.0, 4, N, 0.0, 1.0, bounds=bounds).bound_without_C0b
               for N in range(8)]
     assert all(x > y for x, y in zip(vals_M, vals_M[1:]))
     assert all(x > y for x, y in zip(vals_N, vals_N[1:]))
-    far = frequency_bound(spec, 1, 1, 6.0, 60, 60, 0.0, 1.0, bounds=bounds).bound_without_C0b
+    far = frequency_bound(spec, 1, 6.0, 60, 60, 0.0, 1.0, bounds=bounds).bound_without_C0b
     assert far < 1e-20
 
 
 def test_bound_parameter_errors(spec, bounds):
     with pytest.raises(ValueError):
-        frequency_bound(spec, 1, 0, 6.0, 1, 1, 0.0, 1.0, bounds=bounds)
+        frequency_bound(spec, 0, 6.0, 1, 1, 0.0, 1.0, bounds=bounds)
     with pytest.raises(ValueError):
-        frequency_bound(spec, 1, 1, 0.0, 1, 1, 0.0, 1.0, bounds=bounds)
-    with pytest.raises(ValueError):
-        frequency_bound(spec, 2, 1, 6.0, 1, 1, 0.0, 1.0, bounds=bounds)
+        frequency_bound(spec, 1, 0.0, 1, 1, 0.0, 1.0, bounds=bounds)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -83,13 +82,13 @@ def test_bound_rejects_non_finite_arguments(spec, bounds, name, value):
     args = {"J": 1, "L": 6.0, "M": 1, "N": 1, "tail_norm": 0.0, "F_norm": 1.0}
     args[name] = value
     with pytest.raises(ValueError, match="%s must be finite" % name):
-        frequency_bound(spec, 1, bounds=bounds, **args)
+        frequency_bound(spec, bounds=bounds, **args)
 
 
 def test_bound_rejects_negative_norms(spec, bounds):
     for tail_norm, F_norm in ((-1.0, 1.0), (0.0, -1.0)):
         with pytest.raises(ValueError, match="nonnegative"):
-            frequency_bound(spec, 1, 1, 6.0, 1, 1, tail_norm, F_norm, bounds=bounds)
+            frequency_bound(spec, 1, 6.0, 1, 1, tail_norm, F_norm, bounds=bounds)
 
 
 def test_spectral_tail_norm_thresholds():
@@ -126,7 +125,7 @@ def test_window_margin_adequacy_link(spec):
 def test_fitted_constant_reported(spec, bounds):
     rng = np.random.default_rng(4)
     fields = [HarmonicField.random_mean_zero(2, rng) for _ in range(2)]
-    c0 = fit_riemann_constant(spec, fields, 20, 3, bounds=bounds)
+    c0 = fit_riemann_constant(spec, fields, 6.0, 20, 3, bounds=bounds)
     assert c0 >= 0.0 and math.isfinite(c0)
 
 
@@ -291,6 +290,49 @@ def test_off_cap_energy_exact_off_pole(spatial_spec):
     _, inside = cap_energy_split(spatial_spec, F, GeodesicCap(-center, math.pi - 1.0))
     assert outside > 0.0 and inside > 0.0
     assert outside + inside == pytest.approx(F.norm() ** 2, abs=1e-13)
+
+
+def reference_off_cap_energy(field, cap):
+    """``_off_cap_energy`` as it was before ``product_grid``: its own rotated ring, row by row."""
+    L = field.L_max
+    half = 0.5 * (math.cos(cap.radius) + 1.0)
+    x, w = np.polynomial.legendre.leggauss(L + 1)
+    t = half * (x + 1.0) - 1.0
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))
+    n_phi = 2 * L + 1
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    c = cap.center
+    e1 = np.cross(c, [1.0, 0.0, 0.0] if abs(c[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * np.cross(c, e1)
+    xyz = s[:, None, None] * ring + t[:, None, None] * c
+    values = evaluate_field(field, xyz.reshape(-1, 3)).reshape(L + 1, n_phi)
+    return float(np.dot(half * w * (2.0 * math.pi / n_phi), np.sum(values ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("L", [1, 4, 16])
+def test_off_cap_energy_matches_the_reference_rule(L):
+    F = HarmonicField.random_mean_zero(L, np.random.default_rng(L))
+    for center in ([0.3, -0.5, 0.8], [0.95, 0.1, -0.2], [-0.2, 0.9, 0.1]):
+        for radius in (0.0, 0.6, math.pi):
+            cap = GeodesicCap(np.array(center), radius)
+            got = truncation._off_cap_energy(F, cap)
+            assert got == pytest.approx(reference_off_cap_energy(F, cap), rel=1e-14, abs=1e-14)
+    assert truncation._off_cap_energy(F, GeodesicCap(np.array([0.3, -0.5, 0.8]), math.pi)) == 0.0
+
+
+def test_off_cap_energy_evaluates_within_the_chunk_budget(monkeypatch):
+    sizes = []
+
+    def recording(field, xyz):
+        sizes.append(len(xyz) * n_coeffs(field.L_max))  # the harmonic matrix it builds
+        return evaluate_field(field, xyz)
+
+    monkeypatch.setattr(truncation, "evaluate_field", recording)
+    F = HarmonicField.random_mean_zero(64, np.random.default_rng(0))
+    truncation._off_cap_energy(F, GeodesicCap(np.array([0.3, -0.5, 0.8]), 0.6))
+    assert sum(sizes) == 65 * 129 * n_coeffs(64)  # every point once
+    assert len(sizes) > 1 and max(sizes) <= _TARGET_CHUNK_FLOATS
 
 
 def test_cap_rejects_non_finite_parameters():
