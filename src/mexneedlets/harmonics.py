@@ -13,6 +13,7 @@ Coefficient vectors are flat arrays of length (L+1)^2 with layout
 index = l^2 + l + q.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -53,44 +54,54 @@ def sh_index(l, q):
 
 def degree_of_index(L):
     """Array mapping flat coefficient index -> degree l."""
-    ls = np.empty(n_coeffs(L), dtype=int)
-    for l in range(L + 1):
-        ls[l * l : (l + 1) * (l + 1)] = l
-    return ls
+    return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-def _lm(l, m):
-    # packed index over 0 <= m <= l
-    return l * (l + 1) // 2 + m
+@functools.lru_cache(maxsize=16)
+def order_layout(L):
+    """The pairs (l, m), l = m..L, order by order for m = 0..L: the Legendre table column order.
+
+    Returns the start of each order (L + 2 ints: pair (l, m) sits at starts[m] + l - m)
+    and read-only arrays of each pair's order m and coefficient indices of Y_{l,m} and Y_{l,-m}.
+    """
+    counts = np.arange(L + 1, 0, -1)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    m = np.repeat(np.arange(L + 1), counts)
+    l = m + np.arange(starts[-1]) - starts[m]
+    base = l * l + l
+    pairs = np.stack((m, base + m, base - m))
+    pairs.flags.writeable = False
+    return (tuple(starts.tolist()), *pairs)
 
 
 def norm_assoc_legendre(L, cos_theta):
     """Table of 4pi-normalized associated Legendre values.
 
-    Returns shape (npts, (L+1)(L+2)/2) with column _lm(l, m); the values
-    are N_{l,m} P_l^m(cos theta) such that the real harmonics below are
+    Returns a column-major array of shape (npts, (L+1)(L+2)/2), one column
+    per pair (l, m) in ``order_layout(L)`` order; the values are
+    N_{l,m} P_l^m(cos theta) such that the real harmonics below are
     orthonormal.  Standard increasing-degree recurrence; at L = 512 (the
     cubature cap) it matches scipy's sph_harm_y to 1.1e-11 absolute, the
     worst error sitting at the poles.  Near the poles the seed
     P_m^m ~ sin^m theta underflows, so whole orders flush to 0 (from m = 175
     at cos theta = 0.9999, m = 381 at 0.99); scipy returns 0 there too.
     """
+    starts = np.array(order_layout(L)[0])
     ct = np.atleast_1d(np.asarray(cos_theta, dtype=float))
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, 1.0))
-    npts = ct.shape[0]
-    table = np.zeros((npts, (L + 1) * (L + 2) // 2))
+    table = np.zeros((ct.shape[0], starts[-1]), order="F")
     table[:, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, L + 1):
-        table[:, _lm(m, m)] = table[:, _lm(m - 1, m - 1)] * st * math.sqrt((2 * m + 1) / (2.0 * m))
+        table[:, starts[m]] = table[:, starts[m - 1]] * st * math.sqrt((2 * m + 1) / (2.0 * m))
     for m in range(0, L):
-        table[:, _lm(m + 1, m)] = math.sqrt(2 * m + 3.0) * ct * table[:, _lm(m, m)]
+        table[:, starts[m] + 1] = math.sqrt(2 * m + 3.0) * ct * table[:, starts[m]]
     ct = ct[:, None]
     for l in range(2, L + 1):
         m = np.arange(l - 1)  # every order m <= l - 2 in one step
+        at = starts[:l - 1] + l - m  # column (l, m)
         alm = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         blm = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        table[:, _lm(l, 0):_lm(l, l - 1)] = alm * (
-            ct * table[:, _lm(l - 1, 0):_lm(l - 1, l - 1)] - blm * table[:, _lm(l - 2, 0):_lm(l - 2, l - 1)])
+        table[:, at] = alm * (ct * table[:, at - 1] - blm * table[:, at - 2])
     return table
 
 
@@ -99,17 +110,13 @@ def real_sh_matrix(L, xyz):
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     ct = np.clip(xyz[:, 2], -1.0, 1.0)
     phi = np.arctan2(xyz[:, 1], xyz[:, 0])
-    plm = norm_assoc_legendre(L, ct)
-    mphi = np.outer(phi, np.arange(1, L + 1))
-    cos_m, sin_m = np.cos(mphi), np.sin(mphi)  # column m - 1 holds order m
-    out = np.zeros((xyz.shape[0], n_coeffs(L)))
-    sqrt2 = math.sqrt(2.0)
-    for l in range(L + 1):
-        c = sh_index(l, 0)
-        out[:, c] = plm[:, _lm(l, 0)]
-        base = sqrt2 * plm[:, _lm(l, 1):_lm(l, l) + 1]
-        out[:, c + 1:c + l + 1] = base * cos_m[:, :l]
-        out[:, c - l:c] = (base * sin_m[:, :l])[:, ::-1]  # q = -l..-1
+    starts, m, cos_index, sin_index = order_layout(L)
+    mphi = np.outer(phi, np.arange(L + 1))
+    scaled = np.where(m, math.sqrt(2.0), 1.0) * norm_assoc_legendre(L, ct)
+    out = np.empty((xyz.shape[0], n_coeffs(L)))
+    out[:, cos_index] = scaled * np.cos(mphi)[:, m]
+    s = starts[1]  # orders m >= 1 have a sine part
+    out[:, sin_index[s:]] = scaled[:, s:] * np.sin(mphi)[:, m[s:]]
     return out
 
 

@@ -166,6 +166,8 @@ def kernel_profile(filt, t, n_theta, method="auto", tol=1e-8, convention="laplac
     """Profile of 4 pi h_t over a uniform theta grid on [-pi, pi]."""
     if n_theta < 2:
         raise ValueError("need at least two grid points")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     thetas = np.linspace(-math.pi, math.pi, int(n_theta))
     if method == "auto":
         method = ("gaussian" if (filt.is_mexican and filt.r == 1 and convention == "laplacian"

@@ -94,6 +94,8 @@ def build_needlet_frame(g, j_min, j_max):
         weights[0] = 0.0
         scales.append(NeedletScale(j=j, l_cut=l_cut, weights=weights,
                                    rule=cubature_rule(2 * l_cut)))
+    if not scales:
+        raise ValueError("j = %d..%d: no degree >= 1; needlet scales need j <= 0" % (j_min, j_max))
     return NeedletFrame(filter=g, scales=scales)
 
 
@@ -229,6 +231,8 @@ def hybrid_tail_diagnostics(N, a, l_max):
         raise ValueError("N must be finite, got %r" % (N,))
     if N <= 1:
         raise ValueError("need N > 1")
+    if l_max < 1:
+        raise ValueError("need l_max >= 1, got %r" % (l_max,))
     r = hybrid_rate(a)
     s = np.exp(np.linspace(0.0, 2.0 * math.log(a), _TAIL_GRID_POINTS, endpoint=False))
     eps3 = float(np.max(_tails_above(a, s, lambda j: N * a * a)))

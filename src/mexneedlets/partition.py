@@ -25,6 +25,7 @@ from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 
 DESK_SCALE_MIN_DIAMETER = 1e-3
 MEASURE_CONDITION_DELTA0 = math.pi / 2
+GREEDY_GRID_THETA = 512  # greedy cells are labelled on product_grid(512, 1024)
 
 # Representative points sit off-center inside each cell (fixed interior
 # area fractions).  Any interior point is admissible; cell midpoints would
@@ -202,7 +203,7 @@ def fibonacci_points(n):
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def greedy_ball_partition(t, candidates=2000, grid_theta=512):
+def greedy_ball_partition(t, candidates=2000):
     """Maximal disjoint geodesic balls B(y_k, t) turned into a partition.
 
     Follows the recursive construction: E_1 = B'_1 minus the other inner
@@ -230,7 +231,7 @@ def greedy_ball_partition(t, candidates=2000, grid_theta=512):
     if np.max(cover) >= 2.0 * t:
         warnings.warn("candidate set exhausted without certifying maximality")
 
-    label_grid = product_grid(grid_theta, 2 * grid_theta)
+    label_grid = product_grid(GREEDY_GRID_THETA, 2 * GREEDY_GRID_THETA)
     # a label block's largest array is geodesic_distance's (points, centers, 3) product
     step = max(1, _TARGET_CHUNK_FLOATS // (3 * len(centers)))
     points = label_grid.points()

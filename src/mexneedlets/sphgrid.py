@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .harmonics import band_of_length, n_coeffs, norm_assoc_legendre, sph_to_xyz
+from .harmonics import band_of_length, n_coeffs, norm_assoc_legendre, order_layout, sph_to_xyz
 
 _TARGET_CHUNK_FLOATS = 3_000_000
 
@@ -120,7 +120,7 @@ class BandGrid:
         A, B are (rows, orders) for a vector and (rows, k, orders) for k columns.
         """
         plm = self._plm(L)
-        starts, lm, cos_index, sin_index = _order_layout(L)
+        starts, _, cos_index, sin_index = order_layout(L)
         root2 = math.sqrt(2.0)
         cos_c = coeffs[cos_index]
         cos_c[starts[1]:] *= root2
@@ -129,7 +129,7 @@ class BandGrid:
         B = np.zeros_like(A)
         for m in range(L + 1):
             s = slice(starts[m], starts[m + 1])
-            plm_m = plm[:, lm[s]]
+            plm_m = plm[:, s]
             A[..., m] = plm_m @ cos_c[s]
             if m:
                 B[..., m] = plm_m @ sin_c[s]
@@ -173,13 +173,13 @@ class BandGrid:
     def _back_project(self, alpha, beta, L):
         """Coefficients of row spectra (alpha, beta) of orders m <= L: the transpose of ``_fold``."""
         plm = self._plm(L)
-        starts, lm, cos_index, sin_index = _order_layout(L)
+        starts, _, cos_index, sin_index = order_layout(L)
         root2 = math.sqrt(2.0)
-        cos_c = np.empty((len(lm),) + alpha.shape[1:-1])
+        cos_c = np.empty((starts[-1],) + alpha.shape[1:-1])
         sin_c = np.empty_like(cos_c)
         for m in range(L + 1):
             s = slice(starts[m], starts[m + 1])
-            plm_m = plm[:, lm[s]]
+            plm_m = plm[:, s]
             if m == 0:
                 cos_c[s] = plm_m.T @ alpha[..., 0]
             else:
@@ -248,21 +248,6 @@ class BandGrid:
             alpha, beta = self._weighted_spectrum(A, B, L)
             out[cols] = _column_sums(A * alpha) + _column_sums(B * beta)
         return float(out[0]) if np.ndim(coeffs) == 1 else out
-
-
-def _order_layout(L):
-    """The pairs (l, m), l = m..L, listed order by order for m = 0..L.
-
-    Returns the start of each order in the list (L + 2 entries), and per pair
-    the Legendre table column _lm(l, m) and the coefficient indices of
-    Y_{l,m} (cosine part) and Y_{l,-m} (sine part).
-    """
-    counts = np.arange(L + 1, 0, -1)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    m = np.repeat(np.arange(L + 1), counts)
-    l = m + np.arange(starts[-1]) - starts[m]
-    base = l * l + l
-    return starts.tolist(), base // 2 + m, base + m, base - m
 
 
 def _as_block(coeffs):

@@ -191,7 +191,7 @@ def test_criterion_9_partition_axioms():
     assert worst_c0 > 0.05
 
     t = math.pi / 4
-    greedy = greedy_ball_partition(t, candidates=2000, grid_theta=256)
+    greedy = greedy_ball_partition(t, candidates=2000)
     assert abs(greedy.sum_measure() - 4 * math.pi) <= 1e-3 * 4 * math.pi
     assert greedy.max_diameter_bound() <= 4 * t
     centers = greedy.centers

@@ -138,6 +138,23 @@ def test_needlet_cut_beyond_desk_scale_names_the_scale(capsys):
     assert "at j=-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel-profile", "--t", "0.1", "--tol", "0"], "tolerance must be positive"),
+    (["kernel-profile", "--t", "0.1", "--tol", "-1"], "tolerance must be positive"),
+    (["kernel-profile", "--t", "0.1", "--tol", "0", "--method", "series"],
+     "tolerance must be positive"),
+    (["needlet-diag", "--l-max", "0"], "need l_max >= 1, got 0"),
+    (["needlet-diag", "--l-max", "-3"], "need l_max >= 1, got -3"),
+    (["frame-verify", "--mode", "needlet", "--j-min", "1", "--j-max", "3", "--trials", "1"],
+     "j = 1..3: no degree >= 1; needlet scales need j <= 0"),
+], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0"])
+def test_out_of_domain_parameter_exits_2(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_non_finite_parameters_exit_2(tmp_path, capsys):
     cases = [
         (["partition", "--a", "nan"], "--a"),

@@ -121,7 +121,7 @@ def test_band_limit_guard(spec):
 
 
 def test_greedy_partition_is_rejected():
-    greedy = greedy_ball_partition(0.9, candidates=200, grid_theta=32)
+    greedy = greedy_ball_partition(0.9, candidates=200)
     with pytest.raises(ValueError):
         FrameSpec(MEX1, A13, 0.5, 8, {0: build_partition(0, A13, 0.5), 1: greedy})
 

@@ -111,6 +111,9 @@ def test_needlet_guards():
         build_needlet_frame(NORM, -8, 0)  # a degree-1022 cubature rule
     with pytest.raises(ValueError):
         build_needlet_frame(NORM, 0, -1)
+    with pytest.raises(ValueError, match=r"j = 1\.\.3: no degree >= 1; needlet scales need j <= 0"):
+        build_needlet_frame(NORM, 1, 3)
+    assert [s.j for s in build_needlet_frame(NORM, -1, 3).scales] == [-1, 0]
 
 
 @pytest.mark.parametrize("j_min, j_max, name", [
@@ -290,6 +293,12 @@ def test_hybrid_tail_diagnostics_rejects_non_finite_n():
     for N in (math.inf, math.nan):
         with pytest.raises(ValueError, match="N must be finite"):
             hybrid_tail_diagnostics(N, A13, 4)
+
+
+@pytest.mark.parametrize("l_max", [0, -3])
+def test_hybrid_tail_diagnostics_rejects_an_empty_degree_range(l_max):
+    with pytest.raises(ValueError, match="need l_max >= 1"):
+        hybrid_tail_diagnostics(4.0, A13, l_max)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])

@@ -253,7 +253,7 @@ def test_measures_match_cell_records():
 
 def test_greedy_partition_structure():
     t = math.pi / 4
-    part = greedy_ball_partition(t, candidates=2000, grid_theta=256)
+    part = greedy_ball_partition(t, candidates=2000)
     assert 4 <= part.n_cells <= 30
     assert part.sum_measure() == pytest.approx(4 * math.pi, rel=1e-3)
     assert part.max_diameter_bound() <= 4 * t
@@ -285,10 +285,10 @@ def test_greedy_partition_structure():
 
 def test_greedy_label_grid_is_the_reference_grid_with_rows_reversed():
     # the label grid as it was built before ``product_grid``: descending colatitude
-    grid_theta = 64
+    grid_theta = partition_module.GREEDY_GRID_THETA
     x, w = np.polynomial.legendre.leggauss(grid_theta)
     n_phi = 2 * grid_theta
-    grid = greedy_ball_partition(0.9, candidates=200, grid_theta=grid_theta).label_grid
+    grid = greedy_ball_partition(0.9, candidates=200).label_grid
     assert np.array_equal(grid.theta, np.arccos(x)[::-1])
     assert np.array_equal(grid.phi0, np.zeros(grid_theta))
     assert np.array_equal(grid.counts, np.full(grid_theta, n_phi))
@@ -305,13 +305,13 @@ def test_greedy_label_blocks_fit_the_chunk_budget(monkeypatch):
         return real(centers, t, xyz)
 
     monkeypatch.setattr(partition_module, "_greedy_label_block", recording)
-    part = greedy_ball_partition(0.3, candidates=2000, grid_theta=128)
+    part = greedy_ball_partition(0.3, candidates=2000)
     assert part.n_cells == 32 and len(sizes) > 1
     assert max(sizes) <= _TARGET_CHUNK_FLOATS
 
 
 def test_greedy_locate_consistent_with_labels():
-    part = greedy_ball_partition(0.9, candidates=500, grid_theta=128)
+    part = greedy_ball_partition(0.9, candidates=500)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((50, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)

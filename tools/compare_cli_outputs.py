@@ -7,10 +7,14 @@ once per tree, each in a subprocess of its own with that tree's ``src`` on
 PYTHONPATH and a fresh working directory in which ``{out}`` is the relative
 directory ``out`` (so printed paths match).  Compares exit codes, stdout and
 every file written under ``out``, prints one line per command and exits 1 on
-any difference.  Standard library only.
+any difference.  Under a command line, each differing JSON file gets one more
+line naming its numeric leaf of largest relative difference.  Standard
+library only.
 """
 
 import ast
+import json
+import math
 import os
 import shlex
 import subprocess
@@ -44,6 +48,41 @@ def run(tree, template, workdir):
     return proc.returncode, proc.stdout, files
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def largest_difference(a, b, path="$"):
+    """(relative difference, path, old leaf, new leaf) of the leaf where two JSON values differ most.
+
+    Numeric leaves differ by |a - b| / max(|a|, |b|).  Any other differing
+    pair (strings, a number against a non-number, containers whose keys or
+    lengths differ, NaN) differs by infinity.
+    """
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(a[k], b[k], "%s.%s" % (path, k)) for k in sorted(a)]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(x, y, "%s[%d]" % (path, i)) for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        if type(a) is type(b) and a == b:
+            return 0.0, path, a, b
+        rel = (abs(a - b) / max(abs(a), abs(b))) if _is_number(a) and _is_number(b) else math.inf
+        return (math.inf if math.isnan(rel) else rel), path, a, b
+    return max((largest_difference(x, y, p) for x, y, p in pairs), key=lambda r: r[0],
+               default=(0.0, path, a, b))
+
+
+def _json_report(name, old_bytes, new_bytes):
+    """The line naming the largest leaf difference of a differing JSON file, or None."""
+    if not name.endswith(".json") or old_bytes is None or new_bytes is None:
+        return None
+    try:
+        rel, path, a, b = largest_difference(json.loads(old_bytes), json.loads(new_bytes))
+    except ValueError:
+        return None
+    return "    out/%s: largest relative difference %.3g at %s (%r -> %r)" % (name, rel, path, a, b)
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -59,10 +98,15 @@ def main(argv=None):
             problems = [] if code_a == code_b else ["exit %d != %d" % (code_a, code_b)]
             if stdout_a != stdout_b:
                 problems.append("stdout")
-            problems += ["out/" + f for f in sorted(set(files_a) | set(files_b))
-                         if files_a.get(f) != files_b.get(f)]
+            changed = [f for f in sorted(set(files_a) | set(files_b))
+                       if files_a.get(f) != files_b.get(f)]
+            problems += ["out/" + f for f in changed]
             print("%-24s %s" % (name, "differs: " + ", ".join(problems) if problems
                                 else "identical (exit %d)" % code_a))
+            for f in changed:
+                line = _json_report(f, files_a.get(f), files_b.get(f))
+                if line:
+                    print(line)
             differing += bool(problems)
     return 1 if differing else 0
 
