@@ -16,13 +16,15 @@ w_j(0..L_j).  A ``FrameSpec`` samples cell centers with cell measures
 cubature weights (L_j = l_cut(j)).  At scale j a field is read only
 through degrees l <= min(L_j, field band), and S F carries degrees up to L_j.
 
-``quadratic_form`` and ``apply_summation`` never form the values G_j(x_k) of
-an unmasked scale: the grid sums mu_k G_j(x_k)^2 and
+``quadratic_form`` and ``apply_summation`` evaluate S on the whole frame and
+never form the values G_j(x_k): the grid sums mu_k G_j(x_k)^2 and
 sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
 (``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
 meets order m' only where n divides m - m' or m + m', grouped by
-n_eff = min(n, L_in + L_out + 1)).  A mask selects single points, so a scale
-listed in ``masks`` goes through point values (as do ``analyze`` and the
+n_eff = min(n, L_in + L_out + 1)).  S over a window of scales is S of a
+sub-frame, a ``FrameSpec`` over those scales' partitions.  Point masks belong
+to the spatial sweep alone (``_restricted``): a mask selects single points,
+so a masked scale goes through point values (as do ``analyze`` and the
 elements), synthesized once and read by both parts for every mask column.
 
 The per-scale sums take a coefficient block of k fields as readily as one
@@ -165,24 +167,11 @@ def _weighted(w, coeffs):
     return (w[degree_of_index(L)] * coeffs[: n_coeffs(L)].T).T
 
 
-def _scale_terms(frame, coeffs, scales=None):
-    """Yield (j, grid, w_j, w_j(l) c_{l,q}) per selected scale for a vector or block."""
-    use = None if scales is None else set(scales)
-    for j, grid, w in frame.terms():
-        if use is None or j in use:
-            yield j, grid, w, _weighted(w, coeffs)
-
-
-def _masked_weights(grid, mask):
-    """Rows mu_{j,k} zeroed outside each column of a (points,) or (points, k) mask."""
-    return [np.where(column, grid.point_weights(), 0.0)
-            for column in np.reshape(mask, (grid.n_points, -1)).T]
-
-
 def analyze(frame, field):
     """All coefficients <F, phi_{j,k}> = mu_{j,k}^{1/2} [w_j(M) F](x_{j,k}), per scale."""
-    return {j: np.sqrt(grid.point_weights()) * grid.synthesis(c)
-            for j, grid, _, c in _scale_terms(frame, _check_field(frame, field).coeffs)}
+    coeffs = _check_field(frame, field).coeffs
+    return {j: np.sqrt(grid.point_weights()) * grid.synthesis(_weighted(w, coeffs))
+            for j, grid, w in frame.terms()}
 
 
 def frame_element(frame, j, k):
@@ -196,8 +185,8 @@ def frame_element(frame, j, k):
     raise ValueError("no such scale in the frame")
 
 
-def _restricted(frame, coeffs, scales=None, masks=None, form=True, summation=True):
-    """(<S_I F, F>, S_I F) over the selected index set; None for a part not asked for.
+def _restricted(frame, coeffs, masks=None, form=True, summation=True):
+    """(<S_I F, F>, S_I F) over the index set of ``masks``; None for a part not asked for.
 
     ``coeffs`` is one field's coefficient vector, or a block of fields when
     no scale is masked.  An unmasked scale stays in Fourier-order space.  A
@@ -208,9 +197,12 @@ def _restricted(frame, coeffs, scales=None, masks=None, form=True, summation=Tru
     shape = np.shape(next(iter(masks.values())))[1:] if masks else coeffs.shape[1:]
     total = 0.0 if form else None
     out = np.zeros((n_coeffs(_band_limit(frame)),) + shape) if summation else None
-    for j, grid, w, c in _scale_terms(frame, coeffs, scales):
-        L = len(w) - 1
-        mu = None if masks is None or j not in masks else _masked_weights(grid, masks[j])
+    for j, grid, w in frame.terms():
+        L, c = len(w) - 1, _weighted(w, coeffs)
+        # rows mu_{j,k} zeroed outside each mask column
+        mu = None if masks is None or j not in masks else [
+            np.where(column, grid.point_weights(), 0.0)
+            for column in np.reshape(masks[j], (grid.n_points, -1)).T]
         values = None if mu is None else grid.synthesis(c)
         if form:
             total = total + (grid.energy(c) if mu is None else
@@ -223,16 +215,14 @@ def _restricted(frame, coeffs, scales=None, masks=None, form=True, summation=Tru
     return total, out
 
 
-def quadratic_form(frame, field, scales=None, masks=None):
-    """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over the selected index set."""
-    return float(_restricted(frame, _check_field(frame, field).coeffs, scales, masks,
-                             summation=False)[0])
+def quadratic_form(frame, field):
+    """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over every scale and point of the frame."""
+    return float(_restricted(frame, _check_field(frame, field).coeffs, summation=False)[0])
 
 
-def apply_summation(frame, field, scales=None, masks=None):
-    """S F (or a restricted S_I F) in spectral form; always mean-zero."""
-    return HarmonicField(_restricted(frame, _check_field(frame, field).coeffs, scales, masks,
-                                     form=False)[1])
+def apply_summation(frame, field):
+    """S F in spectral form; always mean-zero."""
+    return HarmonicField(_restricted(frame, _check_field(frame, field).coeffs, form=False)[1])
 
 
 def rayleigh_quotient(frame, field):

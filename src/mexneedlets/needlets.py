@@ -19,6 +19,7 @@ threshold, which an array bisection finds with the threshold's strict >.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .cubature import cubature_rule
 from .daubechies import _ladder_walk
 from .filters import SpectralFilter
 from .frame import analyze, frame_element, rayleigh_quotient
+from .kernels import _MAX_SERIES_DEGREE
 
 SPHERE_DIM = 2  # n of S^n in the hybrid estimates; the library works on S^2
 _CROSSING_TOL = 1e-10
@@ -231,8 +233,12 @@ def hybrid_tail_diagnostics(N, a, l_max):
         raise ValueError("N must be finite, got %r" % (N,))
     if N <= 1:
         raise ValueError("need N > 1")
+    if math.exp(-N) < sys.float_info.min:  # the ratios divide by e^{-N}
+        raise ValueError("N = %r too large: e^{-N} is below the smallest normal float" % (N,))
     if l_max < 1:
         raise ValueError("need l_max >= 1, got %r" % (l_max,))
+    if l_max > _MAX_SERIES_DEGREE:  # every degree up to l_max is walked at once
+        raise ValueError("l_max = %r beyond desk scale (at most %d)" % (l_max, _MAX_SERIES_DEGREE))
     r = hybrid_rate(a)
     s = np.exp(np.linspace(0.0, 2.0 * math.log(a), _TAIL_GRID_POINTS, endpoint=False))
     eps3 = float(np.max(_tails_above(a, s, lambda j: N * a * a)))

@@ -222,17 +222,26 @@ class BandGrid:
         step = max(1, _TARGET_CHUNK_FLOATS // (2 * self.n_rows * (L + 1)))
         return [slice(start, start + step) for start in range(0, k, step)]
 
+    def _spectra(self, coeffs, L):
+        """Yield (A, B, alpha, beta) per chunk of columns c of a vector or block.
+
+        A, B are the row folds of c and (alpha, beta) the row spectra, orders
+        m <= L, of adjoint(point_weights() * synthesis(c)); a vector is a block
+        of one column.
+        """
+        block = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
+        L_in = band_of_length(len(block))
+        for cols in self._column_chunks(block.shape[1], max(L_in, L)):
+            A, B = self._fold(block[:, cols], L_in)
+            yield (A, B) + self._weighted_spectrum(A, B, L)
+
     def normal(self, coeffs, L):
         """adjoint(point_weights() * synthesis(c), L) per column c, without point values or FFTs.
 
         A vector gives a vector; an (n_coeffs, k) block gives an (n_coeffs(L), k) block.
         """
-        block = _as_block(coeffs)
-        L_in = band_of_length(len(block))
-        out = np.empty((n_coeffs(L), block.shape[1]))
-        for cols in self._column_chunks(block.shape[1], max(L_in, L)):
-            A, B = self._fold(block[:, cols], L_in)
-            out[:, cols] = self._back_project(*self._weighted_spectrum(A, B, L), L)
+        out = np.concatenate([self._back_project(alpha, beta, L)
+                              for _, _, alpha, beta in self._spectra(coeffs, L)], axis=1)
         return out[:, 0] if np.ndim(coeffs) == 1 else out
 
     def energy(self, coeffs):
@@ -240,20 +249,10 @@ class BandGrid:
 
         A vector gives a float; an (n_coeffs, k) block gives k values.
         """
-        block = _as_block(coeffs)
-        L = band_of_length(len(block))
-        out = np.empty(block.shape[1])
-        for cols in self._column_chunks(block.shape[1], L):
-            A, B = self._fold(block[:, cols], L)
-            alpha, beta = self._weighted_spectrum(A, B, L)
-            out[cols] = _column_sums(A * alpha) + _column_sums(B * beta)
+        L = band_of_length(len(coeffs))
+        out = np.concatenate([_column_sums(A * alpha) + _column_sums(B * beta)
+                              for A, B, alpha, beta in self._spectra(coeffs, L)])
         return float(out[0]) if np.ndim(coeffs) == 1 else out
-
-
-def _as_block(coeffs):
-    """A coefficient vector as a block of one column; a block as it is."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs.reshape(len(coeffs), -1)
 
 
 def _column_sums(products):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .daubechies import _ladder_sums, filter_axis, truncated_daubechies_sum
 from .fields import evaluate_field
-from .frame import _check_field, _restricted, apply_summation
+from .frame import FrameSpec, _check_field, _restricted, apply_summation
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs
 from .cubature import cubature_rule, product_grid
 from .sphgrid import _TARGET_CHUNK_FLOATS
@@ -111,7 +111,10 @@ def measured_truncation_error(spec, field, M, N):
     complement = [j for j in spec.scales if j < -M or j > N]
     if not complement:
         return 0.0
-    return apply_summation(spec, field, scales=complement).norm()
+    # S of the dropped scales is S of their sub-frame: the same grids in the same order
+    dropped = FrameSpec(spec.filter, spec.a, spec.b, spec.L_max,
+                        {j: spec.partitions[j] for j in complement})
+    return apply_summation(dropped, field).norm()
 
 
 def window_margin(spec, M, N):

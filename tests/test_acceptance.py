@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
-                         apply_summation, build_needlet_frame, build_partition,
-                         calderon_constant, complement_masks, crossing_bracket,
-                         crossing_index, cubature_rule, daubechies_bounds,
+                         build_needlet_frame, build_partition, calderon_constant,
+                         crossing_bracket, crossing_index, cubature_rule, daubechies_bounds,
                          empirical_frame_bounds, fit_riemann_constant, frequency_bound,
                          greedy_ball_partition, hybrid_rate, kernel_series,
-                         measured_truncation_error, quadratic_form, spatial_index_set,
+                         measured_truncation_error, quadratic_form, spatial_truncation_report,
                          spectral_tail_norm, tail_bound_lhs_rhs, tightness_ratio,
                          window_margin)
 from mexneedlets.harmonics import geodesic_distance, sh_index
@@ -131,21 +130,23 @@ def test_criterion_7_spatial_truncation():
 
     forms = []
     chain_worst = 0.0
-    for c in (0.5, 1.0, 2.0, 4.0):
-        dropped = complement_masks(spec, spatial_index_set(spec, cap, c))
-        qf = quadratic_form(spec, field, masks=dropped)
-        norm_sq = apply_summation(spec, field, masks=dropped).norm() ** 2
+    # measured and dropped_quadratic_form are ||S_I F|| and <S_I F, F> over the
+    # cells dropped at each c
+    for rep in spatial_truncation_report(spec, field, cap, (0.5, 1.0, 2.0, 4.0), 3.0,
+                                         b_emp=fb.upper):
+        qf = rep.dropped_quadratic_form
+        norm_sq = rep.measured ** 2
         assert norm_sq <= fb.upper * qf * (1 + 1e-10)
         chain_worst = max(chain_worst, norm_sq / (fb.upper * qf))
         forms.append(qf)
     assert all(x > y for x, y in zip(forms, forms[1:]))
 
     rng = np.random.default_rng(6)
-    dropped = complement_masks(spec, spatial_index_set(spec, cap, 1.0))
     for _ in range(20):
         f = HarmonicField.random_mean_zero(8, rng)
-        qf = quadratic_form(spec, f, masks=dropped)
-        norm_sq = apply_summation(spec, f, masks=dropped).norm() ** 2
+        rep, = spatial_truncation_report(spec, f, cap, [1.0], 3.0, b_emp=fb.upper)
+        qf = rep.dropped_quadratic_form
+        norm_sq = rep.measured ** 2
         assert norm_sq <= fb.upper * qf * (1 + 1e-10)
         chain_worst = max(chain_worst, norm_sq / (fb.upper * qf))
     report(7, "cap field, c_j doubling: dropped form strictly decreasing "

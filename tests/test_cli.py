@@ -147,7 +147,16 @@ def test_needlet_cut_beyond_desk_scale_names_the_scale(capsys):
     (["needlet-diag", "--l-max", "-3"], "need l_max >= 1, got -3"),
     (["frame-verify", "--mode", "needlet", "--j-min", "1", "--j-max", "3", "--trials", "1"],
      "j = 1..3: no degree >= 1; needlet scales need j <= 0"),
-], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0"])
+    # e^{-N}, the decay ratios' divisor, is below the smallest normal float from N = 709 on;
+    # nothing is printed for the N before it either
+    (["needlet-diag", "--N", "4,800", "--l-max", "4"],
+     "N = 800.0 too large: e^{-N} is below the smallest normal float"),
+    (["needlet-diag", "--N", "1e6", "--l-max", "4"],
+     "N = 1000000.0 too large: e^{-N} is below the smallest normal float"),
+    # one past the cap, rejected before any degree is allocated
+    (["needlet-diag", "--l-max", "1000001"], "l_max = 1000001 beyond desk scale (at most 1000000)"),
+], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
+        "n-800", "n-1e6", "l-max-above-cap"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

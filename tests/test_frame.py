@@ -26,6 +26,18 @@ def spectral_multiplier_energy(spec, field, j):
     return float(np.sum((w * field.coeffs[: n_coeffs(L)]) ** 2))
 
 
+def sub_frame(spec, scales):
+    """The frame of ``spec``'s partitions at ``scales`` alone: S over a window of scales."""
+    return FrameSpec(spec.filter, spec.a, spec.b, spec.L_max,
+                     {j: spec.partitions[j] for j in scales})
+
+
+def masked(frame, field, masks):
+    """(<S_I F, F>, S_I F coefficients) over the points that per-scale ``masks`` keep."""
+    form, summed = _restricted(frame, field.coeffs, masks=masks)
+    return float(form), summed
+
+
 @pytest.fixture(scope="module")
 def spec():
     return FrameSpec.build(MEX1, A13, 0.5, L_max=8, j_range=(-8, 2))
@@ -81,21 +93,24 @@ def test_summation_self_adjoint_psd(spec):
     rng = np.random.default_rng(10)
     needlets = build_needlet_frame(SpectralFilter("normalized_cutoff"), -3, 0)
     cases = [
-        (spec, spec.L_max, {}),
-        (needlets, max(s.l_cut for s in needlets.scales), {}),
-        (spec, spec.L_max, {"scales": spec.scales[::2]}),
-        (spec, spec.L_max, {"masks": {j: rng.random(spec.n_cells(j)) < 0.5 for j in spec.scales}}),
+        (spec, spec.L_max, None),
+        (needlets, max(s.l_cut for s in needlets.scales), None),
+        (sub_frame(spec, spec.scales[::2]), spec.L_max, None),
+        (spec, spec.L_max, {j: rng.random(spec.n_cells(j)) < 0.5 for j in spec.scales}),
     ]
-    for frame, L, restrict in cases:
+    for frame, L, masks in cases:
         for _ in range(3):
             F = HarmonicField.random_mean_zero(L, rng)
             G = HarmonicField.random_mean_zero(L, rng)
-            SF = apply_summation(frame, F, **restrict)
-            SG = apply_summation(frame, G, **restrict)
-            lhs = float(np.dot(SF.coeffs, G.coeffs))
-            assert lhs == pytest.approx(float(np.dot(F.coeffs, SG.coeffs)), rel=1e-12)
-            assert float(np.dot(SF.coeffs, F.coeffs)) >= 0.0
-            assert quadratic_form(frame, F, **restrict) >= 0.0
+            if masks is None:
+                SF, SG = apply_summation(frame, F).coeffs, apply_summation(frame, G).coeffs
+                form = quadratic_form(frame, F)
+            else:
+                (form, SF), (_, SG) = masked(frame, F, masks), masked(frame, G, masks)
+            lhs = float(np.dot(SF, G.coeffs))
+            assert lhs == pytest.approx(float(np.dot(F.coeffs, SG)), rel=1e-12)
+            assert float(np.dot(SF, F.coeffs)) >= 0.0
+            assert form >= 0.0
 
 
 def test_rayleigh_quotient_properties(spec, field):
@@ -152,12 +167,12 @@ def test_riemann_sum_convergence():
 
 def test_subset_quadratic_form_monotone(spec, field):
     full = quadratic_form(spec, field)
-    sub = quadratic_form(spec, field, scales=[-4, -3, -2])
+    sub = quadratic_form(sub_frame(spec, [-4, -3, -2]), field)
     assert 0 <= sub <= full * (1 + 1e-14)
     masks = {j: np.zeros(spec.n_cells(j), dtype=bool) for j in spec.scales}
     for j in spec.scales:
         masks[j][:: 2] = True
-    part = quadratic_form(spec, field, masks=masks)
+    part, _ = masked(spec, field, masks)
     assert 0 <= part <= full * (1 + 1e-14)
 
 
@@ -165,8 +180,8 @@ def test_restricted_norm_chain(spec, field):
     # ||S_I F||^2 <= B <S_I F, F> with B the sampled upper bound
     fb = empirical_frame_bounds(spec, trials=50, seed=2)
     for scales in ([-4, -3], [-8, -7, -6], list(spec.scales)[::2]):
-        SIF = apply_summation(spec, field, scales=scales)
-        qf = quadratic_form(spec, field, scales=scales)
+        SIF = apply_summation(sub_frame(spec, scales), field)
+        qf = quadratic_form(sub_frame(spec, scales), field)
         assert SIF.norm() ** 2 <= fb.upper * qf * (1 + 1e-10)
 
 
@@ -309,8 +324,11 @@ def _point_path(frame, field, masks=None):
 
 def _assert_matches_point_path(frame, field, masks=None):
     form, ref = _point_path(frame, field, masks)
-    assert quadratic_form(frame, field, masks=masks) == pytest.approx(form, rel=1e-12)
-    SF = apply_summation(frame, field, masks=masks).coeffs
+    if masks is None:
+        got, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
+    else:
+        got, SF = masked(frame, field, masks)
+    assert got == pytest.approx(form, rel=1e-12)
     assert SF.shape == ref.shape
     assert np.linalg.norm(SF - ref) <= 1e-12 * np.linalg.norm(ref)
     return SF, ref
@@ -359,13 +377,13 @@ def test_unmasked_form_and_summation_take_no_point_values(spec, field, monkeypat
         apply_summation(frame, F)
         with pytest.raises(_PointValues):
             analyze(frame, F)
-    quadratic_form(spec, field, scales=[-4, -3])
-    apply_summation(spec, field, scales=[-4, -3])
+    quadratic_form(sub_frame(spec, [-4, -3]), field)
+    apply_summation(sub_frame(spec, [-4, -3]), field)
     masks = {spec.scales[0]: np.ones(spec.n_cells(spec.scales[0]), dtype=bool)}
     with pytest.raises(_PointValues):
-        quadratic_form(spec, field, masks=masks)
+        _restricted(spec, field.coeffs, masks=masks, summation=False)
     with pytest.raises(_PointValues):
-        apply_summation(spec, field, masks=masks)
+        _restricted(spec, field.coeffs, masks=masks, form=False)
 
 
 class CountingFilter:

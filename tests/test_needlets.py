@@ -301,6 +301,14 @@ def test_hybrid_tail_diagnostics_rejects_an_empty_degree_range(l_max):
         hybrid_tail_diagnostics(4.0, A13, l_max)
 
 
+def test_hybrid_tail_diagnostics_needs_a_normal_decay_divisor():
+    # e^{-708} is a normal float and e^{-709} is not
+    rec = hybrid_tail_diagnostics(708.0, A13, 4)
+    assert math.isfinite(rec["eps3_ratio"]) and math.isfinite(rec["eps4_ratio"])
+    with pytest.raises(ValueError, match="N = 709.0 too large"):
+        hybrid_tail_diagnostics(709.0, A13, 4)
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf])
 def test_hybrid_rules_reject_non_finite_dilation(a):
     with pytest.raises(ValueError, match="dilation a must be finite"):

@@ -8,9 +8,9 @@ from scipy.special import eval_legendre
 from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
                          apply_summation, complement_masks, daubechies_bounds, evaluate_field,
                          empirical_frame_bounds, fit_riemann_constant, frequency_bound,
-                         measured_truncation_error, moment_constant, quadratic_form,
-                         spatial_index_set, spatial_truncation_report,
-                         spectral_tail_norm, window_margin)
+                         measured_truncation_error, moment_constant, spatial_index_set,
+                         spatial_truncation_report, spectral_tail_norm, window_margin)
+from mexneedlets.frame import _restricted
 from mexneedlets.harmonics import n_coeffs, sh_index
 from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 from mexneedlets import truncation
@@ -111,6 +111,27 @@ def test_measured_error_full_window_and_monotone(spec):
         measured_truncation_error(spec, F, 22, 6)
 
 
+@pytest.mark.parametrize("M, N", [(20, 3), (22, 0), (0, 5), (5, 1)])
+def test_measured_error_is_s_of_the_dropped_sub_frame(spec, M, N, monkeypatch):
+    # the dropped scales form a frame of their own, with the same partitions in
+    # the same order, and its S F has exactly the norm of the measured error
+    F = HarmonicField.random_mean_zero(2, np.random.default_rng(7))
+    complement = [j for j in spec.scales if j < -M or j > N]
+    sub = FrameSpec(spec.filter, spec.a, spec.b, spec.L_max,
+                    {j: spec.partitions[j] for j in complement})
+    frames = []
+
+    def recording(frame, field):
+        frames.append(frame)
+        return apply_summation(frame, field)
+
+    monkeypatch.setattr(truncation, "apply_summation", recording)
+    assert measured_truncation_error(spec, F, M, N) == apply_summation(sub, F).norm()
+    (frame,) = frames
+    assert frame.scales == complement
+    assert all(frame.partitions[j] is spec.partitions[j] for j in complement)
+
+
 def test_window_margin_adequacy_link(spec):
     margin = window_margin(spec, 20, 3)
     assert margin < 1e-6
@@ -187,7 +208,8 @@ def test_dropped_form_monotone_under_doubling(spatial_spec, cap_field):
             for j in spatial_spec.scales:  # nested index sets
                 assert np.all(masks[j] >= prev_masks[j])
         dropped = complement_masks(spatial_spec, masks)
-        forms.append(quadratic_form(spatial_spec, cap_field, masks=dropped))
+        forms.append(float(_restricted(spatial_spec, cap_field.coeffs, masks=dropped,
+                                       summation=False)[0]))
         prev_masks = masks
     assert all(x > y for x, y in zip(forms, forms[1:]))
 
@@ -200,8 +222,9 @@ def test_spatial_chain_inequality(spatial_spec, cap_field):
     masks = spatial_index_set(spatial_spec, cap, 1.0)
     dropped = complement_masks(spatial_spec, masks)
     for F in fields:
-        lhs = apply_summation(spatial_spec, F, masks=dropped).norm() ** 2
-        rhs = quadratic_form(spatial_spec, F, masks=dropped)
+        form, summed = _restricted(spatial_spec, F.coeffs, masks=dropped)
+        lhs = float(np.linalg.norm(summed)) ** 2
+        rhs = float(form)
         assert lhs <= fb.upper * rhs * (1 + 1e-10)
 
 
@@ -237,9 +260,9 @@ def test_spatial_sweep_equals_per_c_restricted_operator(spatial_spec, cap_field)
     for c, rep in zip(SWEEP, reports):
         masks = spatial_index_set(spatial_spec, cap, c)
         dropped = complement_masks(spatial_spec, masks)
-        assert rep.measured == apply_summation(spatial_spec, cap_field, masks=dropped).norm()
-        assert rep.dropped_quadratic_form == quadratic_form(spatial_spec, cap_field,
-                                                            masks=dropped)
+        form, summed = _restricted(spatial_spec, cap_field.coeffs, masks=dropped)
+        assert rep.measured == float(np.linalg.norm(summed))
+        assert rep.dropped_quadratic_form == float(form)
         assert rep.kept_cells == sum(int(np.sum(masks[j])) for j in spatial_spec.scales)
         assert rep == spatial_truncation_report(spatial_spec, cap_field, cap, [c], 3.0,
                                                 b_emp=0.7)[0]
