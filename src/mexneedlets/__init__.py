@@ -19,9 +19,8 @@ from .kernels import (KernelProfile, kernel_gaussian_approx, kernel_profile,
 from .frame import (FrameBounds, FrameSpec, analyze, apply_summation, default_scale_window,
                     empirical_frame_bounds, frame_element, quadratic_form, rayleigh_quotient)
 from .truncation import (FrequencyBoundReport, GeodesicCap, SpatialTruncationReport,
-                         complement_masks, fit_riemann_constant, frequency_bound,
-                         measured_truncation_error, moment_constant,
-                         spatial_index_set, spatial_truncation_report,
+                         fit_riemann_constant, frequency_bound, measured_truncation_error,
+                         moment_constant, spatial_index_set, spatial_truncation_report,
                          spectral_tail_norm, window_margin)
 from .needlets import (NeedletFrame, build_needlet_frame, crossing_bracket,
                        crossing_index, hybrid_cut_degree, hybrid_rate, hybrid_tail_diagnostics,

@@ -21,7 +21,7 @@ from .fields import HarmonicField
 from .filters import parse_filter
 from .frame import FrameSpec, empirical_frame_bounds
 from .harmonics import n_coeffs, sh_index
-from .kernels import kernel_profile, series_gaussian_max_diff
+from .kernels import DEFAULT_T_CROSS, kernel_profile, series_gaussian_max_diff
 from .needlets import build_needlet_frame, hybrid_tail_diagnostics
 from .partition import build_partition, greedy_ball_partition, partition_to_json
 from .cubature import cubature_rule, cubature_to_csv
@@ -132,7 +132,9 @@ def cmd_kernel_profile(args):
     print("filter=%s t=%g method=%s points=%d max|value|=%.6g"
           % (prof.filter_name, prof.t, prof.method, len(prof.thetas),
              float(np.max(np.abs(prof.values)))))
-    if filt.is_mexican and filt.r == 1 and args.convention == "laplacian":
+    # the small-t closed form is checked only where method="auto" would choose it
+    if filt.is_mexican and filt.r == 1 and args.convention == "laplacian" \
+            and args.t < DEFAULT_T_CROSS:
         print("max |series - gaussian| = %.6g" % series_gaussian_max_diff(args.t))
     return EXIT_OK
 

@@ -22,14 +22,13 @@ sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
 (``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
 meets order m' only where n divides m - m' or m + m', grouped by
 n_eff = min(n, L_in + L_out + 1)).  S over a window of scales is S of a
-sub-frame, a ``FrameSpec`` over those scales' partitions.  Point masks belong
-to the spatial sweep alone (``_restricted``): a mask selects single points,
-so a masked scale goes through point values (as do ``analyze`` and the
-elements), synthesized once and read by both parts for every mask column.
+sub-frame, a ``FrameSpec`` over those scales' partitions.  Point values
+enter only ``analyze`` and the elements here; S over a subset of a scale's
+points is the spatial sweep's, in ``truncation``.
 
-The per-scale sums take a coefficient block of k fields as readily as one
+The energy sums take a coefficient block of k fields as readily as one
 field (the grids' batch axis), so ``empirical_frame_bounds`` sends all its
-seeded trial fields through each scale's Fourier-order operator together.
+seeded trial fields through each scale's Fourier-order energy together.
 """
 
 import math
@@ -185,44 +184,24 @@ def frame_element(frame, j, k):
     raise ValueError("no such scale in the frame")
 
 
-def _restricted(frame, coeffs, masks=None, form=True, summation=True):
-    """(<S_I F, F>, S_I F) over the index set of ``masks``; None for a part not asked for.
-
-    ``coeffs`` is one field's coefficient vector, or a block of fields when
-    no scale is masked.  An unmasked scale stays in Fourier-order space.  A
-    masked scale synthesizes its point values once and reads them for both
-    parts and each column of its (points, k) mask, giving k forms and an
-    (n_coeffs, k) block of sums; a 1-D mask is a block of one.
-    """
-    shape = np.shape(next(iter(masks.values())))[1:] if masks else coeffs.shape[1:]
-    total = 0.0 if form else None
-    out = np.zeros((n_coeffs(_band_limit(frame)),) + shape) if summation else None
-    for j, grid, w in frame.terms():
-        L, c = len(w) - 1, _weighted(w, coeffs)
-        # rows mu_{j,k} zeroed outside each mask column
-        mu = None if masks is None or j not in masks else [
-            np.where(column, grid.point_weights(), 0.0)
-            for column in np.reshape(masks[j], (grid.n_points, -1)).T]
-        values = None if mu is None else grid.synthesis(c)
-        if form:
-            total = total + (grid.energy(c) if mu is None else
-                             np.reshape([np.dot(row, values * values) for row in mu], shape))
-        if summation:
-            Sc = grid.normal(c, L) if mu is None else np.stack(
-                [grid.adjoint(row * values, L) for row in mu], axis=-1).reshape((-1,) + shape)
-            # transposed, so an unmasked scale's vector meets every mask column
-            out[: n_coeffs(L)].T[...] += w[degree_of_index(L)] * Sc.T
-    return total, out
+def _forms(frame, coeffs):
+    """<S F, F> of a coefficient vector, or of each column of a block of fields."""
+    return sum(grid.energy(_weighted(w, coeffs)) for _, grid, w in frame.terms())
 
 
 def quadratic_form(frame, field):
     """<S F, F> = sum_{j,k} mu_k G_j(x_k)^2 over every scale and point of the frame."""
-    return float(_restricted(frame, _check_field(frame, field).coeffs, summation=False)[0])
+    return float(_forms(frame, _check_field(frame, field).coeffs))
 
 
 def apply_summation(frame, field):
     """S F in spectral form; always mean-zero."""
-    return HarmonicField(_restricted(frame, _check_field(frame, field).coeffs, form=False)[1])
+    coeffs = _check_field(frame, field).coeffs
+    out = np.zeros(n_coeffs(_band_limit(frame)))
+    for _, grid, w in frame.terms():
+        L = len(w) - 1
+        out[: n_coeffs(L)] += w[degree_of_index(L)] * grid.normal(_weighted(w, coeffs), L)
+    return HarmonicField(out)
 
 
 def rayleigh_quotient(frame, field):
@@ -255,7 +234,7 @@ def empirical_frame_bounds(frame, trials, seed=0):
         raise ValueError("frame covers no degree completely")
     rng = np.random.default_rng(seed)
     fields = [HarmonicField.random_mean_zero(L, rng) for _ in range(trials)]
-    forms, _ = _restricted(frame, np.stack([f.coeffs for f in fields], axis=1), summation=False)
+    forms = _forms(frame, np.stack([f.coeffs for f in fields], axis=1))
     quotients = forms / np.array([f.norm() ** 2 for f in fields])
     lo, hi = float(quotients.min()), float(quotients.max())
     return FrameBounds(lower=lo, upper=hi, ratio=hi / lo if lo > 0 else math.inf,

@@ -227,7 +227,9 @@ def hybrid_tail_diagnostics(N, a, l_max):
     one period (the sum is periodic under s -> a^2 s), all in one walk.
     eps4 sums, weighted by multiplicity, the tails over a^{2j} lambda_l >
     N a^2 + r a^2 (j-1)_- of all degrees 1..l_max in one walk.  Decay ratios
-    against e^{-N} N and e^{-N} N^{n+3} are reported, not asserted.
+    against e^{-N} N and e^{-N} N^{n+3} are reported, not asserted.  N is
+    rejected once e^{-N} or either tail falls below the smallest normal
+    float (N >= 709; at a = 2^(1/3) the tails from N of about 220 on).
     """
     if not math.isfinite(N):
         raise ValueError("N must be finite, got %r" % (N,))
@@ -246,6 +248,9 @@ def hybrid_tail_diagnostics(N, a, l_max):
     tails = _tails_above(a, ls * (ls + SPHERE_DIM - 1.0),
                          lambda j: N * a * a + r * a * a * np.maximum(1 - j, 0))
     eps4 = float(sum((2 * ls + 1) * tails, 0.0))  # left to right, degree by degree
+    if min(eps3, eps4) < sys.float_info.min:  # an underflowed tail says nothing of its decay
+        raise ValueError("N = %r too large: a tail sum is below the smallest normal float "
+                         "(eps3 = %g, eps4 = %g)" % (N, eps3, eps4))
     return {
         "N": N,
         "a": a,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .daubechies import _ladder_sums, filter_axis, truncated_daubechies_sum
 from .fields import evaluate_field
-from .frame import FrameSpec, _check_field, _restricted, apply_summation
+from .frame import FrameSpec, _check_field, _weighted, apply_summation
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs
 from .cubature import cubature_rule, product_grid
 from .sphgrid import _TARGET_CHUNK_FLOATS
@@ -191,10 +191,6 @@ def spatial_index_set(spec, cap, c):
     return masks
 
 
-def complement_masks(spec, masks):
-    return {j: ~masks[j] for j in masks}
-
-
 def _off_cap_energy(field, cap):
     """||(1-chi) F||^2 by a product rule centred on the cap.
 
@@ -252,26 +248,46 @@ class SpatialTruncationReport:
     dropped_quadratic_form: float
 
 
+def _dropped_sums(spec, coeffs, masks):
+    """(<S_D F, F>, S_D F) per column of the (cells, k) kept masks, D the cells a column drops.
+
+    Returns k forms and a (k, n_coeffs) array whose rows are the sums.  Each
+    scale synthesizes its point values once; every column reads them with
+    the weights mu_{j,k} zeroed on the cells it keeps.
+    """
+    forms = np.zeros(next(iter(masks.values())).shape[1])
+    sums = np.zeros((len(forms), n_coeffs(spec.L_max)))
+    for j, grid, w in spec.terms():
+        mu, values = grid.point_weights(), grid.synthesis(_weighted(w, coeffs))
+        for i, mask in enumerate(masks[j].T):
+            row = np.where(~mask, mu, 0.0)
+            forms[i] += np.dot(row, values * values)
+            sums[i] += w[degree_of_index(spec.L_max)] * grid.adjoint(row * values, spec.L_max)
+    return forms, sums
+
+
 def spatial_truncation_report(spec, field, cap, cs, I_decay, *, b_emp):
     """Measured spatial truncation error against its structural envelope, one report per c in cs.
 
     ``measured`` is ||S F - S_kept F|| and ``dropped_quadratic_form`` is
     <(S F - S_kept F), F>, both over the cells dropped by ``spatial_index_set``
     at c.  The field check, cap energies, distances and syntheses run once per
-    sweep; ``_restricted`` reads each column of the mask blocks.
+    sweep; ``_dropped_sums`` reads each column of the kept-mask blocks.
     ``structural_factor`` is [mu(Gamma) sum_j a^{-2j} c^{2-2I}]^{1/2} ||chi F||
-    with the approximate on-cap energy of ``cap_energy_split``.  ``leakage``
+    with the approximate on-cap energy of ``cap_energy_split``; it shrinks
+    as c grows only for I > 1, so ``I_decay`` must exceed 1.  ``leakage``
     is b_emp ||(1-chi) F||, exact in the off-cap energy, with b_emp an upper
     frame bound (the CLI passes a 20-trial empirical one).
     """
+    if not I_decay > 1.0:
+        raise ValueError("decay order I must be > 1, got %r" % (I_decay,))
     chi_sq, leak_sq = cap_energy_split(spec, field, cap)  # checks the field against the band
     masks = spatial_index_set(spec, cap, cs)
-    forms, summed = _restricted(spec, field.coeffs, masks=complement_masks(spec, masks))
+    forms, sums = _dropped_sums(spec, field.coeffs, masks)
     kept = sum(masks[j].sum(axis=0) for j in spec.scales)
     reports = []
-    # norms of contiguous columns, the same bits as one field's S F - S_kept F
-    for c, form, column, kept_c in zip(cs, forms, np.ascontiguousarray(summed.T), kept):
-        measured = float(np.linalg.norm(column))
+    for c, form, summed, kept_c in zip(cs, forms, sums, kept):
+        measured = float(np.linalg.norm(summed))
         structural = math.sqrt(chi_sq) * math.sqrt(cap.area * sum(
             spec.a ** (-2 * j) * c ** (2.0 - 2.0 * I_decay) for j in spec.scales))
         reports.append(SpatialTruncationReport(

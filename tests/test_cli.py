@@ -63,6 +63,16 @@ def test_kernel_profile_csv(tmp_path, capsys):
     assert diff <= 9.5e-4
 
 
+@pytest.mark.parametrize("t", ["0.2", "10"])
+def test_kernel_profile_compares_the_closed_form_only_in_its_range(t, capsys):
+    # the closed form is method="auto"'s choice for t < 0.2 alone; at t = 10 it is
+    # 1.0e4 away from the series
+    assert run(["kernel-profile", "--t", t, "--n", "64"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("filter=mexican:r=1 t=%s method=series points=64" % t)
+    assert "series - gaussian" not in printed
+
+
 def test_kernel_profile_cutoff_oscillates(tmp_path):
     out = tmp_path / "cut.csv"
     assert run(["kernel-profile", "--t", "0.1", "--filter", "cutoff",
@@ -155,8 +165,18 @@ def test_needlet_cut_beyond_desk_scale_names_the_scale(capsys):
      "N = 1000000.0 too large: e^{-N} is below the smallest normal float"),
     # one past the cap, rejected before any degree is allocated
     (["needlet-diag", "--l-max", "1000001"], "l_max = 1000001 beyond desk scale (at most 1000000)"),
+    # the tails underflow to 0 well before e^{-N} does; N = 200 still prints them
+    (["needlet-diag", "--N", "200,250", "--l-max", "4"],
+     "N = 250.0 too large: a tail sum is below the smallest normal float (eps3 = 0, eps4 = 0)"),
+    (["needlet-diag", "--N", "708", "--l-max", "4"],
+     "N = 708.0 too large: a tail sum is below the smallest normal float (eps3 = 0, eps4 = 0)"),
+    # the structural factor's c^{2-2I} is flat in c at I = 1 and grows with c below it
+    (["spatial", "--i-decay", "1"], "decay order I must be > 1, got 1.0"),
+    (["spatial", "--i-decay", "0"], "decay order I must be > 1, got 0.0"),
+    (["spatial", "--i-decay", "-1"], "decay order I must be > 1, got -1.0"),
 ], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
-        "n-800", "n-1e6", "l-max-above-cap"])
+        "n-800", "n-1e6", "l-max-above-cap", "n-250-tails", "n-708-tails", "i-decay-1",
+        "i-decay-0", "i-decay-negative"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -11,7 +11,7 @@ from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          quadratic_form, rayleigh_quotient)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
 from mexneedlets.daubechies import eigen_daubechies_sum
-from mexneedlets.frame import ADEQUACY_EPS, _restricted
+from mexneedlets.frame import ADEQUACY_EPS
 from mexneedlets.harmonics import degree_of_index, n_coeffs, sphere_eigenvalue
 from mexneedlets.sphgrid import BandGrid
 
@@ -30,12 +30,6 @@ def sub_frame(spec, scales):
     """The frame of ``spec``'s partitions at ``scales`` alone: S over a window of scales."""
     return FrameSpec(spec.filter, spec.a, spec.b, spec.L_max,
                      {j: spec.partitions[j] for j in scales})
-
-
-def masked(frame, field, masks):
-    """(<S_I F, F>, S_I F coefficients) over the points that per-scale ``masks`` keep."""
-    form, summed = _restricted(frame, field.coeffs, masks=masks)
-    return float(form), summed
 
 
 @pytest.fixture(scope="module")
@@ -89,24 +83,21 @@ def test_quadratic_form_consistency(spec, field):
 
 
 def test_summation_self_adjoint_psd(spec):
-    # <S F, G> = <F, S G> and <S F, F> >= 0, for S and for restricted S_I
+    # <S F, G> = <F, S G> and <S F, F> >= 0, for S and for S over a window of scales
+    # (S over the cells a mask drops: test_truncation::test_dropped_sums_self_adjoint_psd)
     rng = np.random.default_rng(10)
     needlets = build_needlet_frame(SpectralFilter("normalized_cutoff"), -3, 0)
     cases = [
-        (spec, spec.L_max, None),
-        (needlets, max(s.l_cut for s in needlets.scales), None),
-        (sub_frame(spec, spec.scales[::2]), spec.L_max, None),
-        (spec, spec.L_max, {j: rng.random(spec.n_cells(j)) < 0.5 for j in spec.scales}),
+        (spec, spec.L_max),
+        (needlets, max(s.l_cut for s in needlets.scales)),
+        (sub_frame(spec, spec.scales[::2]), spec.L_max),
     ]
-    for frame, L, masks in cases:
+    for frame, L in cases:
         for _ in range(3):
             F = HarmonicField.random_mean_zero(L, rng)
             G = HarmonicField.random_mean_zero(L, rng)
-            if masks is None:
-                SF, SG = apply_summation(frame, F).coeffs, apply_summation(frame, G).coeffs
-                form = quadratic_form(frame, F)
-            else:
-                (form, SF), (_, SG) = masked(frame, F, masks), masked(frame, G, masks)
+            SF, SG = apply_summation(frame, F).coeffs, apply_summation(frame, G).coeffs
+            form = quadratic_form(frame, F)
             lhs = float(np.dot(SF, G.coeffs))
             assert lhs == pytest.approx(float(np.dot(F.coeffs, SG)), rel=1e-12)
             assert float(np.dot(SF, F.coeffs)) >= 0.0
@@ -169,11 +160,6 @@ def test_subset_quadratic_form_monotone(spec, field):
     full = quadratic_form(spec, field)
     sub = quadratic_form(sub_frame(spec, [-4, -3, -2]), field)
     assert 0 <= sub <= full * (1 + 1e-14)
-    masks = {j: np.zeros(spec.n_cells(j), dtype=bool) for j in spec.scales}
-    for j in spec.scales:
-        masks[j][:: 2] = True
-    part, _ = masked(spec, field, masks)
-    assert 0 <= part <= full * (1 + 1e-14)
 
 
 def test_restricted_norm_chain(spec, field):
@@ -205,22 +191,6 @@ def _two_column_budget(monkeypatch, frame):
     """Shrink the chunk budget to two columns per pass on the frame's widest grid."""
     widest = max(grid.n_rows * len(w) for _, grid, w in frame.terms())
     monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", 2 * 2 * widest)
-
-
-@pytest.mark.parametrize("frame_kind", ["spec", "needlet"])
-@pytest.mark.parametrize("chunked", [False, True])
-def test_block_form_and_summation_match_single_fields(spec, frame_kind, chunked, monkeypatch):
-    frame = spec if frame_kind == "spec" else _needlet_frame()
-    if chunked:
-        _two_column_budget(monkeypatch, frame)
-    rng = np.random.default_rng(11)
-    fields = [HarmonicField.random_mean_zero(frame.coverage_limit(), rng) for _ in range(5)]
-    forms, summed = _restricted(frame, np.stack([F.coeffs for F in fields], axis=1))
-    assert forms.shape == (5,) and summed.shape[1] == 5
-    for i, F in enumerate(fields):
-        assert forms[i] == pytest.approx(quadratic_form(frame, F), rel=1e-13)
-        ref = apply_summation(frame, F).coeffs
-        assert np.linalg.norm(summed[:, i] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("frame_kind", ["spec", "needlet"])
@@ -306,28 +276,23 @@ def test_band_adequacy_residual():
     assert deep.band_adequacy_residual() > 1e-14
 
 
-def _point_path(frame, field, masks=None):
-    """(<S F, F>, S F) from point values: synthesis, weights mu (masked), adjoint."""
+def _point_path(frame, field):
+    """(<S F, F>, S F) from point values: synthesis, weights mu, adjoint."""
     L = max(len(w) for _, _, w in frame.terms()) - 1
     form, out = 0.0, np.zeros(n_coeffs(L))
-    for j, grid, w in frame.terms():
+    for _, grid, w in frame.terms():
         L_j = len(w) - 1
         L_in = min(L_j, field.L_max)
         values = grid.synthesis(w[degree_of_index(L_in)] * field.coeffs[: n_coeffs(L_in)])
         mu = grid.point_weights()
-        if masks is not None and j in masks:
-            mu = np.where(masks[j], mu, 0.0)
         form += float(np.dot(mu, values * values))
         out[: n_coeffs(L_j)] += w[degree_of_index(L_j)] * grid.adjoint(mu * values, L_j)
     return form, out
 
 
-def _assert_matches_point_path(frame, field, masks=None):
-    form, ref = _point_path(frame, field, masks)
-    if masks is None:
-        got, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
-    else:
-        got, SF = masked(frame, field, masks)
+def _assert_matches_point_path(frame, field):
+    form, ref = _point_path(frame, field)
+    got, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
     assert got == pytest.approx(form, rel=1e-12)
     assert SF.shape == ref.shape
     assert np.linalg.norm(SF - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -351,11 +316,7 @@ def test_needlet_summation_of_low_band_field_matches_point_path():
     assert SF.shape == (n_coeffs(max(s.l_cut for s in frame.scales)),)
 
 
-def test_masks_on_some_scales_match_point_path(spec, field):
-    rng = np.random.default_rng(8)
-    masks = {j: rng.random(spec.n_cells(j)) < 0.5 for j in spec.scales[::3]}
-    assert 0 < len(masks) < len(spec.scales)
-    _assert_matches_point_path(spec, field, masks)
+def test_form_and_summation_match_point_path(spec, field):
     _assert_matches_point_path(spec, field)
 
 
@@ -379,11 +340,6 @@ def test_unmasked_form_and_summation_take_no_point_values(spec, field, monkeypat
             analyze(frame, F)
     quadratic_form(sub_frame(spec, [-4, -3]), field)
     apply_summation(sub_frame(spec, [-4, -3]), field)
-    masks = {spec.scales[0]: np.ones(spec.n_cells(spec.scales[0]), dtype=bool)}
-    with pytest.raises(_PointValues):
-        _restricted(spec, field.coeffs, masks=masks, summation=False)
-    with pytest.raises(_PointValues):
-        _restricted(spec, field.coeffs, masks=masks, form=False)
 
 
 class CountingFilter:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -302,10 +303,15 @@ def test_hybrid_tail_diagnostics_rejects_an_empty_degree_range(l_max):
 
 
 def test_hybrid_tail_diagnostics_needs_a_normal_decay_divisor():
-    # e^{-708} is a normal float and e^{-709} is not
-    rec = hybrid_tail_diagnostics(708.0, A13, 4)
-    assert math.isfinite(rec["eps3_ratio"]) and math.isfinite(rec["eps4_ratio"])
-    with pytest.raises(ValueError, match="N = 709.0 too large"):
+    # the tails are about 1e-271 at N = 200 and underflow to 0 by N = 250; e^{-708} is a
+    # normal float and e^{-709} is not
+    rec = hybrid_tail_diagnostics(200.0, A13, 4)
+    assert min(rec["eps3"], rec["eps4"]) >= sys.float_info.min
+    assert 0.0 < rec["eps3_ratio"] < math.inf and 0.0 < rec["eps4_ratio"] < math.inf
+    for N in (250.0, 708.0):
+        with pytest.raises(ValueError, match="N = %r too large: a tail sum is below" % N):
+            hybrid_tail_diagnostics(N, A13, 4)
+    with pytest.raises(ValueError, match="N = 709.0 too large: e"):
         hybrid_tail_diagnostics(709.0, A13, 4)
 
 

@@ -6,15 +6,15 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
-                         apply_summation, complement_masks, daubechies_bounds, evaluate_field,
+                         apply_summation, daubechies_bounds, evaluate_field,
                          empirical_frame_bounds, fit_riemann_constant, frequency_bound,
-                         measured_truncation_error, moment_constant, spatial_index_set,
-                         spatial_truncation_report, spectral_tail_norm, window_margin)
-from mexneedlets.frame import _restricted
-from mexneedlets.harmonics import n_coeffs, sh_index
+                         measured_truncation_error, moment_constant, quadratic_form,
+                         spatial_index_set, spatial_truncation_report, spectral_tail_norm,
+                         window_margin)
+from mexneedlets.harmonics import degree_of_index, n_coeffs, sh_index
 from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 from mexneedlets import truncation
-from mexneedlets.truncation import cap_energy_split
+from mexneedlets.truncation import _dropped_sums, cap_energy_split
 
 MEX1 = SpectralFilter("mexican", 1)
 CUT = SpectralFilter("cutoff_bump")
@@ -168,6 +168,7 @@ def cap_field():
 
 
 NORTH = np.array([0.0, 0.0, 1.0])
+SWEEP = (0.5, 1.0, 2.0, 4.0)
 
 
 def _zonal_values(field, theta):
@@ -200,17 +201,10 @@ def test_far_cells_are_excluded(spatial_spec):
 
 def test_dropped_form_monotone_under_doubling(spatial_spec, cap_field):
     cap = GeodesicCap(center=NORTH, radius=0.6)
-    forms = []
-    prev_masks = None
-    for c in (0.5, 1.0, 2.0, 4.0):
-        masks = spatial_index_set(spatial_spec, cap, c)
-        if prev_masks is not None:
-            for j in spatial_spec.scales:  # nested index sets
-                assert np.all(masks[j] >= prev_masks[j])
-        dropped = complement_masks(spatial_spec, masks)
-        forms.append(float(_restricted(spatial_spec, cap_field.coeffs, masks=dropped,
-                                       summation=False)[0]))
-        prev_masks = masks
+    masks = spatial_index_set(spatial_spec, cap, SWEEP)
+    for j in spatial_spec.scales:  # nested index sets
+        assert np.all(masks[j][:, 1:] >= masks[j][:, :-1])
+    forms, _ = _dropped_sums(spatial_spec, cap_field.coeffs, masks)
     assert all(x > y for x, y in zip(forms, forms[1:]))
 
 
@@ -219,10 +213,9 @@ def test_spatial_chain_inequality(spatial_spec, cap_field):
     fb = empirical_frame_bounds(spatial_spec, trials=50, seed=5)
     rng = np.random.default_rng(6)
     fields = [cap_field] + [HarmonicField.random_mean_zero(8, rng) for _ in range(10)]
-    masks = spatial_index_set(spatial_spec, cap, 1.0)
-    dropped = complement_masks(spatial_spec, masks)
+    masks = spatial_index_set(spatial_spec, cap, [1.0])
     for F in fields:
-        form, summed = _restricted(spatial_spec, F.coeffs, masks=dropped)
+        (form,), (summed,) = _dropped_sums(spatial_spec, F.coeffs, masks)
         lhs = float(np.linalg.norm(summed)) ** 2
         rhs = float(form)
         assert lhs <= fb.upper * rhs * (1 + 1e-10)
@@ -250,17 +243,13 @@ def test_spatial_report_structure(spatial_spec, cap_field):
     assert math.isfinite(rep1.measured_to_structural)
 
 
-SWEEP = (0.5, 1.0, 2.0, 4.0)
-
-
 def test_spatial_sweep_equals_per_c_restricted_operator(spatial_spec, cap_field):
     cap = GeodesicCap(center=NORTH, radius=0.6)
     reports = spatial_truncation_report(spatial_spec, cap_field, cap, SWEEP, 3.0, b_emp=0.7)
     assert len(reports) == len(SWEEP)
     for c, rep in zip(SWEEP, reports):
-        masks = spatial_index_set(spatial_spec, cap, c)
-        dropped = complement_masks(spatial_spec, masks)
-        form, summed = _restricted(spatial_spec, cap_field.coeffs, masks=dropped)
+        masks = spatial_index_set(spatial_spec, cap, [c])
+        (form,), (summed,) = _dropped_sums(spatial_spec, cap_field.coeffs, masks)
         assert rep.measured == float(np.linalg.norm(summed))
         assert rep.dropped_quadratic_form == float(form)
         assert rep.kept_cells == sum(int(np.sum(masks[j])) for j in spatial_spec.scales)
@@ -292,6 +281,102 @@ def test_spatial_sweep_synthesizes_each_masked_scale_once(spatial_spec, cap_fiel
     assert [g for g in calls["block_iter"] if any(g is grid for grid in grids)] == grids
     # one field check, inside cap_energy_split
     assert len(calls["_check_field"]) == len(calls["cap_energy_split"]) == 1
+
+
+def reference_dropped(spec, field, kept):
+    """(<S_D F, F>, S_D F) for one kept mask per scale, D the cells it drops, point by point:
+    synthesis, the weights mu zeroed on the kept cells, adjoint."""
+    L = spec.L_max
+    form, out = 0.0, np.zeros(n_coeffs(L))
+    for j in spec.scales:
+        grid, w = spec.partitions[j].grid, spec.weight_vector(j)[degree_of_index(L)]
+        values = grid.synthesis(w * field.coeffs)
+        mu = np.where(kept[j], 0.0, grid.point_weights())
+        form += float(np.dot(mu, values * values))
+        out += w * grid.adjoint(mu * values, L)
+    return form, out
+
+
+def test_masks_on_every_scale_match_point_path(spatial_spec):
+    rng = np.random.default_rng(8)
+    F = HarmonicField.random_mean_zero(8, rng)
+    kept = {j: rng.random((spatial_spec.n_cells(j), 3)) < 0.5 for j in spatial_spec.scales}
+    forms, sums = _dropped_sums(spatial_spec, F.coeffs, kept)
+    assert forms.shape == (3,) and sums.shape == (3, n_coeffs(8))
+    for i in range(3):
+        form, ref = reference_dropped(spatial_spec, F, {j: kept[j][:, i] for j in kept})
+        assert forms[i] == form
+        assert np.array_equal(sums[i], ref)
+
+
+def test_dropped_sums_self_adjoint_psd(spatial_spec):
+    # <S_D F, G> = <F, S_D G> and <S_D F, F> >= 0 for the cells D that random masks drop
+    rng = np.random.default_rng(10)
+    kept = {j: rng.random((spatial_spec.n_cells(j), 2)) < 0.5 for j in spatial_spec.scales}
+    for _ in range(3):
+        F = HarmonicField.random_mean_zero(8, rng)
+        G = HarmonicField.random_mean_zero(8, rng)
+        forms, SF = _dropped_sums(spatial_spec, F.coeffs, kept)
+        _, SG = _dropped_sums(spatial_spec, G.coeffs, kept)
+        for i in range(2):
+            lhs = float(np.dot(SF[i], G.coeffs))
+            assert lhs == pytest.approx(float(np.dot(F.coeffs, SG[i])), rel=1e-12)
+            assert float(np.dot(SF[i], F.coeffs)) >= 0.0
+            assert forms[i] >= 0.0
+
+
+def test_dropped_form_at_most_the_full_form(spatial_spec):
+    F = HarmonicField.random_mean_zero(8, np.random.default_rng(3))
+    full = quadratic_form(spatial_spec, F)
+    kept = {}
+    for j in spatial_spec.scales:  # keep every other cell, then every cell, then none
+        kept[j] = np.zeros((spatial_spec.n_cells(j), 3), dtype=bool)
+        kept[j][::2, 0] = kept[j][:, 1] = True
+    forms, sums = _dropped_sums(spatial_spec, F.coeffs, kept)
+    assert 0 <= forms[0] <= full * (1 + 1e-14)
+    assert forms[1] == 0.0 and not np.any(sums[1])
+    # dropping every cell drops all of S, here from point values
+    assert forms[2] == pytest.approx(full, rel=1e-12)
+    ref = apply_summation(spatial_spec, F).coeffs
+    assert np.linalg.norm(sums[2] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _partly_kept_rows(spec, masks):
+    """Rows of the frame's grids that some column of the mask blocks keeps only in part."""
+    partly = 0
+    for j in spec.scales:
+        grid = spec.partitions[j].grid
+        kept = np.add.reduceat(masks[j].astype(int), grid.offsets[:-1], axis=0)
+        partly += int(np.sum(np.any((kept > 0) & (kept < grid.counts[:, None]), axis=1)))
+    return partly
+
+
+def test_off_pole_sweep_matches_point_path():
+    # the spatial command's frame; its polar cap keeps or drops whole rows, a cap off the
+    # pole keeps arcs of rows
+    spec = FrameSpec.build(MEX1, A13, 0.4, L_max=8, j_range=(-13, 2))
+    rows = sum(spec.partitions[j].grid.n_rows for j in spec.scales)
+    polar = spatial_index_set(spec, GeodesicCap(NORTH, 0.6), SWEEP)
+    assert (rows, _partly_kept_rows(spec, polar)) == (1076, 0)
+    cap = GeodesicCap(np.array([0.3, -0.5, 0.8]), 0.6)
+    masks = spatial_index_set(spec, cap, SWEEP)
+    assert _partly_kept_rows(spec, masks) == 558
+    F = HarmonicField.random_mean_zero(8, np.random.default_rng(12))
+    reports = spatial_truncation_report(spec, F, cap, SWEEP, 3.0, b_emp=0.7)
+    for i, rep in enumerate(reports):
+        kept = {j: masks[j][:, i] for j in spec.scales}
+        form, ref = reference_dropped(spec, F, kept)
+        assert rep.dropped_quadratic_form == form
+        assert rep.measured == float(np.linalg.norm(ref))
+        assert rep.kept_cells == sum(int(np.sum(m)) for m in kept.values())
+
+
+@pytest.mark.parametrize("I_decay", [1.0, 0.0, -1.0, math.nan])
+def test_spatial_report_needs_decay_order_above_one(spatial_spec, cap_field, I_decay):
+    # c^{2-2I} is flat in c at I = 1 and grows with c below it
+    with pytest.raises(ValueError, match="decay order I must be > 1"):
+        spatial_truncation_report(spatial_spec, cap_field, GeodesicCap(NORTH, 0.6), SWEEP,
+                                  I_decay, b_emp=0.7)
 
 
 def test_spatial_index_set_sequence_stacks_scalar_calls(spatial_spec):
