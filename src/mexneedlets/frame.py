@@ -26,9 +26,10 @@ sub-frame, a ``FrameSpec`` over those scales' partitions.  Point values
 enter only ``analyze`` and the elements here; S over a subset of a scale's
 points is the spatial sweep's, in ``truncation``.
 
-The energy sums take a coefficient block of k fields as readily as one
-field (the grids' batch axis), so ``empirical_frame_bounds`` sends all its
-seeded trial fields through each scale's Fourier-order energy together.
+The energy and normal sums take a coefficient block of k fields as readily
+as one field (the grids' batch axis), so ``empirical_frame_bounds`` sends
+all its seeded trial fields through each scale's Fourier-order energy
+together.
 """
 
 import math
@@ -194,14 +195,18 @@ def quadratic_form(frame, field):
     return float(_forms(frame, _check_field(frame, field).coeffs))
 
 
-def apply_summation(frame, field):
-    """S F in spectral form; always mean-zero."""
-    coeffs = _check_field(frame, field).coeffs
-    out = np.zeros(n_coeffs(_band_limit(frame)))
+def _summed(frame, coeffs):
+    """S F of a coefficient vector, or of each column of a block of fields."""
+    out = np.zeros((n_coeffs(_band_limit(frame)),) + coeffs.shape[1:])
     for _, grid, w in frame.terms():
         L = len(w) - 1
-        out[: n_coeffs(L)] += w[degree_of_index(L)] * grid.normal(_weighted(w, coeffs), L)
-    return HarmonicField(out)
+        out[: n_coeffs(L)] += _weighted(w, grid.normal(_weighted(w, coeffs), L))
+    return out
+
+
+def apply_summation(frame, field):
+    """S F in spectral form; always mean-zero."""
+    return HarmonicField(_summed(frame, _check_field(frame, field).coeffs))
 
 
 def rayleigh_quotient(frame, field):

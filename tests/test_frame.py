@@ -11,7 +11,7 @@ from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          quadratic_form, rayleigh_quotient)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
 from mexneedlets.daubechies import eigen_daubechies_sum
-from mexneedlets.frame import ADEQUACY_EPS
+from mexneedlets.frame import ADEQUACY_EPS, _forms, _summed
 from mexneedlets.harmonics import degree_of_index, n_coeffs, sphere_eigenvalue
 from mexneedlets.sphgrid import BandGrid
 
@@ -191,6 +191,23 @@ def _two_column_budget(monkeypatch, frame):
     """Shrink the chunk budget to two columns per pass on the frame's widest grid."""
     widest = max(grid.n_rows * len(w) for _, grid, w in frame.terms())
     monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", 2 * 2 * widest)
+
+
+@pytest.mark.parametrize("frame_kind", ["spec", "needlet"])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_block_form_and_summation_match_single_fields(spec, frame_kind, chunked, monkeypatch):
+    frame = spec if frame_kind == "spec" else _needlet_frame()
+    if chunked:
+        _two_column_budget(monkeypatch, frame)
+    rng = np.random.default_rng(11)
+    fields = [HarmonicField.random_mean_zero(frame.coverage_limit(), rng) for _ in range(5)]
+    block = np.stack([F.coeffs for F in fields], axis=1)
+    forms, summed = _forms(frame, block), _summed(frame, block)
+    assert forms.shape == (5,) and summed.shape[1] == 5
+    for i, F in enumerate(fields):
+        assert forms[i] == pytest.approx(quadratic_form(frame, F), rel=1e-13)
+        ref = apply_summation(frame, F).coeffs
+        assert np.linalg.norm(summed[:, i] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("frame_kind", ["spec", "needlet"])
