@@ -221,6 +221,16 @@ def cmd_truncation(args):
 
 def cmd_spatial(args):
     cap = GeodesicCap(center=np.array([0.0, 0.0, 1.0]), radius=args.cap_radius)
+    # the sweep's values, checked before the frame and its trial bounds are built
+    if not args.c > 0.0:
+        raise ValueError("c must be positive, got %r" % (args.c,))
+    if not args.i_decay > 1.0:
+        raise ValueError("decay order I must be > 1, got %r" % (args.i_decay,))
+    try:
+        cs = [math.ldexp(args.c, i) for i in range(args.doublings + 1)]
+    except OverflowError:
+        raise ValueError("c * 2^doublings overflows a float at c = %r, doublings = %d"
+                         % (args.c, args.doublings)) from None
     spec = _build_spec(args)
     # cap-localized test field: heat-type bell at the cap center
     coeffs = np.zeros(n_coeffs(spec.L_max))
@@ -228,7 +238,6 @@ def cmd_spatial(args):
         coeffs[sh_index(l, 0)] = math.exp(-l * (l + 1) * 0.02) * math.sqrt(2 * l + 1)
     field = HarmonicField(coeffs / np.linalg.norm(coeffs))
     fb = empirical_frame_bounds(spec, trials=20, seed=args.seed)
-    cs = [args.c * 2.0 ** i for i in range(args.doublings + 1)]
     reports = spatial_truncation_report(spec, field, cap, cs, args.i_decay, b_emp=fb.upper)
     sweep = [dict(dataclasses.asdict(rep), c=c, dropped_norm_sq=rep.measured ** 2)
              for c, rep in zip(cs, reports)]

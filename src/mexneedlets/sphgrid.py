@@ -27,6 +27,18 @@ arrays, and each alias group stacks (row, column) pairs along the rows of
 one (rows * k, L_in + 1) @ (L_in + 1, L + 1) matmul, so k fields cost
 little more than one.  Columns are taken in chunks whose order arrays stay
 within the chunk budget.
+
+A weight d_k per point, as when a mask drops some of a row's points, needs
+no point values either.  For row values v_k = Re sum_m' C_m' e^{2 pi i m' k / n}
+and D(q) = sum_k d_k e^{2 pi i q k / n},
+
+    sum_k d_k v_k e^{i m phi_k}
+        = 1/2 e^{i m phi0} sum_m' [C_m' D(m + m') + conj(C_m') D(m - m')].
+
+D is n mu at multiples of n and 0 elsewhere on a row of constant weight mu
+(the aliasing case above) and 0 on a row of zero weight; on any other row
+one FFT of d gives it at every bin.  ``_masked_spectrum`` takes a
+(points, k) block of dropped points this way, for any mask.
 """
 
 import math
@@ -216,6 +228,52 @@ class BandGrid:
             Z[rows] = (stacked.conj() @ same + stacked @ opposite).reshape(len(rows), -1, L + 1)
         Z *= (0.5 * self.counts * self.row_weight)[:, None, None] * phase[..., : L + 1]
         return Z.real, Z.imag
+
+    def _masked_spectrum(self, A, B, L, drop):
+        """Row spectra (alpha, beta), orders m <= L, of adjoint(d * values) per column of ``drop``.
+
+        ``values`` is one field with row folds A, B of shape (rows, L_in + 1), never
+        formed; ``drop`` is a (points, k) boolean block and d its column times
+        point_weights().  Returns (rows, k, L + 1) arrays.  A row that a column drops
+        whole is ``_weighted_spectrum``'s, a row it keeps whole is 0, and a row it
+        keeps in part takes D(q) = sum_k d_k e^{2 pi i q k / n} from one FFT of its
+        dropped points, read at the bins (m +- m') mod n.
+        """
+        L_in = A.shape[-1] - 1
+        dropped = np.add.reduceat(drop, self.offsets[:-1], axis=0, dtype=np.int64)
+        whole = dropped == self.counts[:, None]
+        alpha, beta = self._weighted_spectrum(A[:, None], B[:, None], L)
+        alpha, beta = alpha * whole[..., None], beta * whole[..., None]
+        rows, cols = np.nonzero((dropped > 0) & ~whole)
+        if not len(rows):
+            return alpha, beta
+        # D(q) for q = -L_in..L + L_in, one FFT per batch of (row, column) pairs of length n
+        order = np.argsort(self.counts[rows], kind="stable")
+        rows, cols = rows[order], cols[order]
+        lengths, first = np.unique(self.counts[rows], return_index=True)
+        edges = np.append(first, len(rows)).tolist()
+        q = np.arange(-L_in, L + L_in + 1)
+        D = np.empty((len(rows), len(q)), dtype=complex)
+        for n, lo, hi in zip(lengths.tolist(), edges[:-1], edges[1:]):
+            step = max(1, _TARGET_CHUNK_FLOATS // (2 * n))
+            for start in range(lo, hi, step):
+                pairs = slice(start, min(start + step, hi))
+                points = self.offsets[rows[pairs]][:, None] + np.arange(n)
+                D[pairs] = np.fft.ifft(drop[points, cols[pairs, None]], axis=1,
+                                       norm="forward")[:, q % n]
+        # Z_m = 1/2 mu e^{i m phi0} sum_m' [C_m' D(m + m') + conj(C_m') D(m - m')]
+        m_out, m_in = np.arange(L + 1)[:, None], np.arange(L_in + 1)
+        plus, minus = m_out + m_in + L_in, m_out - m_in + L_in
+        phase = np.exp(1j * np.outer(self.phi0[rows], np.arange(max(L_in, L) + 1)))
+        C = ((A[rows] - 1j * B[rows]) * phase[:, : L_in + 1])[:, None, :]
+        step = max(1, _TARGET_CHUNK_FLOATS // (2 * plus.size))
+        for start in range(0, len(rows), step):
+            p = slice(start, start + step)
+            Z = (np.sum(D[p][:, plus] * C[p], axis=-1)
+                 + np.sum(D[p][:, minus] * C[p].conj(), axis=-1))
+            Z *= (0.5 * self.row_weight[rows[p]])[:, None] * phase[p, : L + 1]
+            alpha[rows[p], cols[p]], beta[rows[p], cols[p]] = Z.real, Z.imag
+        return alpha, beta
 
     def _column_chunks(self, k, L):
         """Slices of k columns whose complex (rows, columns, L + 1) arrays fit the chunk budget."""

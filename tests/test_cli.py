@@ -174,14 +174,34 @@ def test_needlet_cut_beyond_desk_scale_names_the_scale(capsys):
     (["spatial", "--i-decay", "1"], "decay order I must be > 1, got 1.0"),
     (["spatial", "--i-decay", "0"], "decay order I must be > 1, got 0.0"),
     (["spatial", "--i-decay", "-1"], "decay order I must be > 1, got -1.0"),
+    (["spatial", "--c", "0"], "c must be positive, got 0.0"),
+    (["spatial", "--c", "-0.5"], "c must be positive, got -0.5"),
+    # 2.0 ** 1100 overflows, whatever c is
+    (["spatial", "--doublings", "1100"],
+     "c * 2^doublings overflows a float at c = 0.5, doublings = 1100"),
+    (["spatial", "--c", "1e300", "--doublings", "100"],
+     "c * 2^doublings overflows a float at c = 1e+300, doublings = 100"),
 ], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
         "n-800", "n-1e6", "l-max-above-cap", "n-250-tails", "n-708-tails", "i-decay-1",
-        "i-decay-0", "i-decay-negative"])
+        "i-decay-0", "i-decay-negative", "c-0", "c-negative", "doublings-1100", "c-1e300"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("option, value", [("--c", "0"), ("--i-decay", "1"),
+                                           ("--doublings", "1100")])
+def test_spatial_checks_its_sweep_before_building_the_frame(option, value, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame built before the sweep was checked")
+
+    monkeypatch.setattr(cli.FrameSpec, "build", refuse)
+    assert run(["spatial", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_non_finite_parameters_exit_2(tmp_path, capsys):

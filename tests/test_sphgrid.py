@@ -157,3 +157,49 @@ def test_block_columns_split_into_chunks(case, monkeypatch):
     chunks = grid._column_chunks(7, max(L_in, L_out))
     assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 4), (4, 6), (6, 8)], name
     _check_block(grid, L_in, L_out, 7, seed=10 + case)
+
+
+def _mixed_drop_block(grid, rng):
+    """(points, 4) drop block: rows kept whole, dropped whole and kept in part in column 0,
+    random points in column 1, every point in column 2, none in column 3."""
+    kind = np.arange(grid.n_rows) % 3
+    drop = np.zeros((grid.n_points, 4), dtype=bool)
+    for row in range(grid.n_rows):
+        points = slice(grid.offsets[row], grid.offsets[row + 1])
+        if kind[row] == 1:
+            drop[points, 0] = True
+        elif kind[row] == 2:
+            drop[points, 0] = rng.random(grid.counts[row]) < 0.5
+    drop[:, 1] = rng.random(grid.n_points) < 0.5
+    drop[:, 2] = True
+    return drop
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_masked_spectrum_matches_point_path(case):
+    # per column, adjoint(d * synthesis(c), L_out) and dot(d, synthesis(c)^2) with d the
+    # point weights on the dropped points, from the row spectra alone
+    name, grid, L_in, L_out = _block_grids()[case]
+    rng = np.random.default_rng(20 + case)
+    drop = _mixed_drop_block(grid, rng)
+    dropped = np.add.reduceat(drop[:, 0].astype(int), grid.offsets[:-1])
+    partly = (dropped > 0) & (dropped < grid.counts)
+    assert np.any(dropped == 0) and np.any(dropped == grid.counts), name
+    # rows kept in part include rows on which orders alias
+    assert np.any(partly & (grid.counts <= L_in + L_out)), name
+    c = rng.standard_normal(n_coeffs(L_in))
+    values, weights = grid.synthesis(c), grid.point_weights()
+    A, B = grid._fold(c, L_in)
+    alpha, beta = grid._masked_spectrum(A, B, L_out, drop)
+    assert alpha.shape == beta.shape == (grid.n_rows, 4, L_out + 1)
+    alpha_in, beta_in = grid._masked_spectrum(A, B, L_in, drop)
+    for i in range(4):
+        d = np.where(drop[:, i], weights, 0.0)
+        got = grid._back_project(alpha[:, i].copy(), beta[:, i].copy(), L_out)
+        form = np.sum(A * alpha_in[:, i]) + np.sum(B * beta_in[:, i])
+        if i == 3:
+            assert not np.any(got) and form == 0.0
+            continue
+        ref = grid.adjoint(d * values, L_out)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (name, i)
+        assert form == pytest.approx(float(np.dot(d, values * values)), rel=1e-12), (name, i)

@@ -13,7 +13,7 @@ from mexneedlets import (FrameSpec, GeodesicCap, HarmonicField, SpectralFilter,
                          window_margin)
 from mexneedlets.harmonics import degree_of_index, n_coeffs, sh_index
 from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
-from mexneedlets import truncation
+from mexneedlets import sphgrid, truncation
 from mexneedlets.truncation import _dropped_sums, cap_energy_split
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -257,9 +257,10 @@ def test_spatial_sweep_equals_per_c_restricted_operator(spatial_spec, cap_field)
                                                 b_emp=0.7)[0]
 
 
-def test_spatial_sweep_synthesizes_each_masked_scale_once(spatial_spec, cap_field, monkeypatch):
+def test_spatial_sweep_synthesizes_only_the_cap_rule(spatial_spec, cap_field, monkeypatch):
     cap = GeodesicCap(center=NORTH, radius=0.6)
-    calls = {"synthesis": [], "block_iter": [], "_check_field": [], "cap_energy_split": []}
+    calls = {"synthesis": [], "adjoint": [], "block_iter": [], "_check_field": [],
+             "cap_energy_split": []}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -270,14 +271,16 @@ def test_spatial_sweep_synthesizes_each_masked_scale_once(spatial_spec, cap_fiel
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((BandGrid, "synthesis"), (BandGrid, "block_iter"),
+    for owner, name in ((BandGrid, "synthesis"), (BandGrid, "adjoint"), (BandGrid, "block_iter"),
                         (truncation, "_check_field"), (truncation, "cap_energy_split")):
         counted(owner, name)
     spatial_truncation_report(spatial_spec, cap_field, cap, SWEEP, 3.0, b_emp=1.0)
-    # one synthesis per masked scale, plus the cubature rule of cap_energy_split
-    assert len(calls["synthesis"]) == len(spatial_spec.scales) + 1
-    # one distance pass per scale (the cubature nodes take one more block walk)
+    # the cubature rule of cap_energy_split is the only synthesis; no grid runs an adjoint
     grids = [spatial_spec.partitions[j].grid for j in spatial_spec.scales]
+    assert len(calls["synthesis"]) == 1
+    assert not any(calls["synthesis"][0] is grid for grid in grids)
+    assert calls["adjoint"] == []
+    # one distance pass per scale (the cubature nodes take one more block walk)
     assert [g for g in calls["block_iter"] if any(g is grid for grid in grids)] == grids
     # one field check, inside cap_energy_split
     assert len(calls["_check_field"]) == len(calls["cap_energy_split"]) == 1
@@ -305,8 +308,8 @@ def test_masks_on_every_scale_match_point_path(spatial_spec):
     assert forms.shape == (3,) and sums.shape == (3, n_coeffs(8))
     for i in range(3):
         form, ref = reference_dropped(spatial_spec, F, {j: kept[j][:, i] for j in kept})
-        assert forms[i] == form
-        assert np.array_equal(sums[i], ref)
+        assert forms[i] == pytest.approx(form, rel=1e-12)
+        assert np.linalg.norm(sums[i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_dropped_sums_self_adjoint_psd(spatial_spec):
@@ -335,7 +338,7 @@ def test_dropped_form_at_most_the_full_form(spatial_spec):
     forms, sums = _dropped_sums(spatial_spec, F.coeffs, kept)
     assert 0 <= forms[0] <= full * (1 + 1e-14)
     assert forms[1] == 0.0 and not np.any(sums[1])
-    # dropping every cell drops all of S, here from point values
+    # dropping every cell drops all of S
     assert forms[2] == pytest.approx(full, rel=1e-12)
     ref = apply_summation(spatial_spec, F).coeffs
     assert np.linalg.norm(sums[2] - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -351,10 +354,15 @@ def _partly_kept_rows(spec, masks):
     return partly
 
 
-def test_off_pole_sweep_matches_point_path():
-    # the spatial command's frame; its polar cap keeps or drops whole rows, a cap off the
-    # pole keeps arcs of rows
-    spec = FrameSpec.build(MEX1, A13, 0.4, L_max=8, j_range=(-13, 2))
+@pytest.fixture(scope="module")
+def command_spec():
+    # the spatial command's frame
+    return FrameSpec.build(MEX1, A13, 0.4, L_max=8, j_range=(-13, 2))
+
+
+def test_off_pole_sweep_matches_point_path(command_spec):
+    # the polar cap keeps or drops whole rows, a cap off the pole keeps arcs of rows
+    spec = command_spec
     rows = sum(spec.partitions[j].grid.n_rows for j in spec.scales)
     polar = spatial_index_set(spec, GeodesicCap(NORTH, 0.6), SWEEP)
     assert (rows, _partly_kept_rows(spec, polar)) == (1076, 0)
@@ -366,9 +374,47 @@ def test_off_pole_sweep_matches_point_path():
     for i, rep in enumerate(reports):
         kept = {j: masks[j][:, i] for j in spec.scales}
         form, ref = reference_dropped(spec, F, kept)
-        assert rep.dropped_quadratic_form == form
-        assert rep.measured == float(np.linalg.norm(ref))
+        assert rep.dropped_quadratic_form == pytest.approx(form, rel=1e-12)
+        assert rep.measured == pytest.approx(float(np.linalg.norm(ref)), rel=1e-12)
         assert rep.kept_cells == sum(int(np.sum(m)) for m in kept.values())
+
+
+def test_polar_sweep_takes_no_point_values_on_the_frame(command_spec, cap_field, monkeypatch):
+    grids = [command_spec.partitions[j].grid for j in command_spec.scales]
+
+    def refusing(name):
+        original = getattr(BandGrid, name)
+
+        def wrapper(grid, *args, **kwargs):
+            if any(grid is g for g in grids):
+                raise AssertionError("%s on a frame grid" % name)
+            return original(grid, *args, **kwargs)
+
+        monkeypatch.setattr(BandGrid, name, wrapper)
+
+    refusing("synthesis")
+    refusing("adjoint")
+    reports = spatial_truncation_report(command_spec, cap_field, GeodesicCap(NORTH, 0.6), SWEEP,
+                                        3.0, b_emp=0.7)
+    # the measured values the spatial command prints for this sweep, to every printed digit
+    assert [rep.measured for rep in reports] == pytest.approx(
+        [0.0684094, 0.0536395, 0.0315218, 0.0270844], abs=5e-8)
+
+
+def test_dropped_sums_in_chunks_equal_the_per_column_calls(spatial_spec, monkeypatch):
+    rng = np.random.default_rng(14)
+    F = HarmonicField.random_mean_zero(8, rng)
+    # 40 columns from keeping no cell to keeping every cell: whole and partly kept rows
+    share = np.linspace(0.0, 1.0, 40)
+    kept = {j: rng.random((spatial_spec.n_cells(j), 40)) < share for j in spatial_spec.scales}
+    columns = [_dropped_sums(spatial_spec, F.coeffs, {j: kept[j][:, i:i + 1] for j in kept})
+               for i in range(40)]
+    # FFT batches of 2592 / (2 n) rows of n points, spectrum chunks of 16 (row, column) pairs
+    monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", 16 * 2 * 9 * 9)
+    forms, sums = _dropped_sums(spatial_spec, F.coeffs, kept)
+    for i, (form, summed) in enumerate(columns):
+        assert forms[i] == form[0], i
+        assert np.array_equal(sums[i], summed[0]), i
 
 
 @pytest.mark.parametrize("I_decay", [1.0, 0.0, -1.0, math.nan])
