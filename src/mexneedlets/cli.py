@@ -165,6 +165,8 @@ def cmd_frame_verify(args):
     if args.filter is None:
         args.filter = "normalized_cutoff" if args.mode == "needlet" else _MEXICAN
     if args.mode == "needlet":
+        if args.l_max < 1:
+            raise ValueError("band limit must be at least 1")
         j_lo = args.j_min if args.j_min is not None else -int(math.ceil(math.log2(max(args.l_max, 2))))
         j_hi = args.j_max if args.j_max is not None else 0
         frame = build_needlet_frame(parse_filter(args.filter), j_lo, j_hi)

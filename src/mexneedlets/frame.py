@@ -20,8 +20,9 @@ through degrees l <= min(L_j, field band), and S F carries degrees up to L_j.
 never form the values G_j(x_k): the grid sums mu_k G_j(x_k)^2 and
 sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
 (``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
-meets order m' only where n divides m - m' or m + m', grouped by
-n_eff = min(n, L_in + L_out + 1)).  S over a window of scales is S of a
+meets order m' only where n divides m - m' or m + m', so a ring longer than
+L_in + L_out scales its folds by n mu / 2 and only shorter rings bin orders
+modulo n).  S over a window of scales is S of a
 sub-frame, a ``FrameSpec`` over those scales' partitions.  Point values
 enter only ``analyze`` and the elements here; S over a subset of a scale's
 points is the spatial sweep's, in ``truncation``.

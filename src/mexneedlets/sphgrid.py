@@ -12,19 +12,18 @@ from a one-point polar cap to thousands of cells, takes the same path.
 The weighted normal operator adjoint(mu * synthesis(c)) needs no point
 values: on a ring of n points sum_k e^{i (m -+ m') phi_k} is
 n e^{i (m -+ m') phi0} where n divides m -+ m' and 0 elsewhere (the
-Parseval/aliasing identity behind the ring technique), so each output order
-is a 0/1 combination of input orders.  For input orders m' <= L_in and
-output orders m <= L_out the two conditions depend on n only through
-n_eff = min(n, L_in + L_out + 1).  Rows are grouped by n_eff, every long row
-in one group whose alias matrices are the identity and e_0 e_0^T, and each
-group costs two small matmuls, however many points its rows hold.
-``normal`` back-projects the result with ``adjoint``'s Legendre loop;
-``energy`` needs only the sum of fold times spectrum.
+Parseval/aliasing identity behind the ring technique), so output order m
+reads the input orders in bins m mod n and -m mod n.  On a long row,
+n > L_in + L_out, each of those bins holds one order and the phases cancel:
+the row's spectrum is its fold scaled by n mu / 2 (doubled at m = 0), real
+products taken for every row at once.  Only the short rows,
+n <= L_in + L_out, are then overwritten, binned together with complex
+phases.  ``normal`` back-projects the result with ``adjoint``'s Legendre
+loop; ``energy`` needs only the sum of fold times spectrum.
 
 Both take a coefficient vector or an (n_coeffs, k) block of k fields.  A
 vector is a block of one.  The folds of a block are (rows, k, orders)
-arrays, and each alias group stacks (row, column) pairs along the rows of
-one (rows * k, L_in + 1) @ (L_in + 1, L + 1) matmul, so k fields cost
+arrays that the scaling and the binning take whole, so k fields cost
 little more than one.  Columns are taken in chunks whose order arrays stay
 within the chunk budget.
 
@@ -209,25 +208,31 @@ class BandGrid:
 
         ``values`` is a field with row folds A, B of shape (rows, columns, L_in + 1),
         never formed.  On a row of n points with weight mu, sum_k mu v_k e^{i m phi_k} is
-        (n mu / 2) e^{i m phi0} sum_m' ([m = m' mod n] conj(C_m') + [m + m' = 0 mod n] C_m')
-        with C_m' = (A_m' - i B_m') e^{i m' phi0}, one pair of 0/1 alias
-        matrices per n_eff = min(n, L_in + L + 1).
+        Z_m = (n mu / 2) e^{i m phi0} (conj(bin[m mod n]) + bin[-m mod n]), where bin[r]
+        sums C_m' = (A_m' - i B_m') e^{i m' phi0} over the orders m' = r mod n.  On a long
+        row, n > L_in + L, each bin that Z reads holds one order and the phase cancels:
+        (alpha_m, beta_m) = (n mu / 2)(A_m, B_m), alpha doubled at m = 0 and both 0 above
+        L_in.  Every row gets that real scaling; the short rows are then binned together.
         """
-        L_in = A.shape[-1] - 1
-        m_in = np.arange(L_in + 1)[:, None]
-        m_out = np.arange(L + 1)
-        phase = np.exp(1j * np.outer(self.phi0, np.arange(max(L_in, L) + 1)))[:, None, :]
-        C = (A - 1j * B) * phase[..., : L_in + 1]
-        n_eff = np.minimum(self.counts, L_in + L + 1)
-        Z = np.empty(A.shape[:-1] + (L + 1,), dtype=complex)
-        for n in np.unique(n_eff).tolist():
-            rows = np.flatnonzero(n_eff == n)
-            same = ((m_in - m_out) % n == 0).astype(float)
-            opposite = ((m_in + m_out) % n == 0).astype(float)
-            stacked = C[rows].reshape(-1, L_in + 1)  # (row, column) pairs
-            Z[rows] = (stacked.conj() @ same + stacked @ opposite).reshape(len(rows), -1, L + 1)
-        Z *= (0.5 * self.counts * self.row_weight)[:, None, None] * phase[..., : L + 1]
-        return Z.real, Z.imag
+        L_in, top = A.shape[-1] - 1, min(A.shape[-1], L + 1)
+        scale = (0.5 * self.counts * self.row_weight)[:, None, None]
+        alpha = np.zeros(A.shape[:-1] + (L + 1,))
+        beta = np.zeros_like(alpha)
+        alpha[..., :top], beta[..., :top] = scale * A[..., :top], scale * B[..., :top]
+        alpha[..., 0] *= 2.0
+        rows = np.flatnonzero(self.counts <= L_in + L)
+        phase = np.exp(1j * np.outer(self.phi0[rows], np.arange(max(L_in, L) + 1)))[:, None]
+        C = (A[rows] - 1j * B[rows]) * phase[..., : L_in + 1]
+        n = self.counts[rows][:, None, None]
+        pairs = (L_in + L) * np.arange(C.shape[0] * C.shape[1]).reshape(C.shape[:2] + (1,))
+        index, size = (pairs + np.arange(L_in + 1) % n).ravel(), pairs.size * (L_in + L)
+        bins = np.bincount(index, C.real.ravel(), size).astype(complex)
+        bins.imag = np.bincount(index, C.imag.ravel(), size)
+        m = np.arange(L + 1)
+        Z = bins[pairs + m % n].conj() + bins[pairs + -m % n]
+        Z *= scale[rows] * phase[..., : L + 1]
+        alpha[rows], beta[rows] = Z.real, Z.imag
+        return alpha, beta
 
     def _masked_spectrum(self, A, B, L, drop):
         """Row spectra (alpha, beta), orders m <= L, of adjoint(d * values) per column of ``drop``.

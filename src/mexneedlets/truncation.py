@@ -26,9 +26,11 @@ from .fields import evaluate_field
 from .frame import FrameSpec, _check_field, _weighted, apply_summation
 from .harmonics import band_of_length, degree_of_index, geodesic_distance, n_coeffs
 from .cubature import cubature_rule, product_grid
-from .sphgrid import _TARGET_CHUNK_FLOATS
+from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 
 SPHERE_LAMBDA_1 = 2.0
+# rad: rows whose distance interval clears a reach by less than this are decided point by point
+_ROW_MARGIN = 1e-12
 
 
 def moment_constant(filt, J):
@@ -175,18 +177,31 @@ def spatial_index_set(spec, cap, c):
     """Per-scale masks of the cells kept near the cap, {(j,k): d(x_{j,k}, Gamma) <= (c + 1) a^j}.
 
     (cells,) masks for a scalar c; for k values, (cells, k) blocks whose
-    column i is the mask of c[i], from one distance pass per scale.
+    column i is the mask of c[i].  Every point of a row at colatitude theta lies
+    between |theta - theta_c| and min(theta + theta_c, 2 pi - theta - theta_c)
+    of the cap's center; a row whose interval is kept, or dropped, by more than
+    _ROW_MARGIN for every c is set whole, and only the other rows take a
+    distance pass over their points.
     """
     cs = np.asarray(c, dtype=float)
     if np.any(cs <= 0):
         raise ValueError("c must be positive")
+    theta_c = math.atan2(math.hypot(cap.center[0], cap.center[1]), cap.center[2])
     masks = {}
     for j in spec.scales:
         reach = (cs + 1.0) * spec.a ** j
         grid = spec.partitions[j].grid
-        mask = np.empty((grid.n_points,) + cs.shape, dtype=bool)
-        for sl, xyz in grid.block_iter():
-            mask[sl] = np.less_equal.outer(cap.distance(xyz), reach)
+        near = np.abs(grid.theta - theta_c) - cap.radius
+        far = np.minimum(grid.theta + theta_c, 2.0 * math.pi - grid.theta - theta_c) - cap.radius
+        kept = np.less_equal.outer(far, reach - _ROW_MARGIN)
+        open_ = ~kept & np.less_equal.outer(near, reach + _ROW_MARGIN)
+        mask = np.repeat(kept, grid.counts, axis=0)
+        rows = np.flatnonzero(open_.reshape(grid.n_rows, -1).any(axis=1))
+        sub = BandGrid(grid.theta[rows], grid.phi0[rows], grid.counts[rows], grid.row_weight[rows])
+        points = np.repeat(grid.offsets[rows] - sub.offsets[:-1], sub.counts)
+        points += np.arange(sub.n_points)
+        for sl, xyz in sub.block_iter():
+            mask[points[sl]] = np.less_equal.outer(cap.distance(xyz), reach)
         masks[j] = mask
     return masks
 

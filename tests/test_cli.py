@@ -148,6 +148,20 @@ def test_needlet_cut_beyond_desk_scale_names_the_scale(capsys):
     assert "at j=-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l_max", ["0", "-5"])
+@pytest.mark.parametrize("mode", ["needlet", "partition"])
+def test_frame_verify_band_below_1_exits_2(mode, l_max, monkeypatch, capsys):
+    # checked before any frame is built, in either mode
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame built before the band was checked")
+
+    monkeypatch.setattr(cli, "build_needlet_frame", refuse)
+    assert run(["frame-verify", "--mode", mode, "--l-max", l_max, "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: band limit must be at least 1\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["kernel-profile", "--t", "0.1", "--tol", "0"], "tolerance must be positive"),
     (["kernel-profile", "--t", "0.1", "--tol", "-1"], "tolerance must be positive"),

@@ -203,3 +203,47 @@ def test_masked_spectrum_matches_point_path(case):
         ref = grid.adjoint(d * values, L_out)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (name, i)
         assert form == pytest.approx(float(np.dot(d, values * values)), rel=1e-12), (name, i)
+
+
+def _boundary_grid(L_in, L_out):
+    # rows of n = 1, 2, L_in + L_out (the longest on which orders alias), L_in + L_out + 1
+    # (the shortest on which none do) and one much longer, at uneven phases and weights
+    n = L_in + L_out
+    return sphgrid.BandGrid([0.4, 0.9, 1.3, 1.9, 2.5], [0.37, -1.1, 0.23, 2.9, 0.71],
+                            [1, 2, n, n + 1, 4 * n + 3], [0.11, 0.07, 0.03, 0.02, 0.005])
+
+
+@pytest.mark.parametrize("L_in, L_out", [(5, 12), (12, 7)])
+def test_order_space_at_the_long_row_boundary(L_in, L_out):
+    # normal, energy and the masked spectra against the point path and the dense
+    # harmonics, on both sides of n = L_in + L_out
+    grid = _boundary_grid(L_in, L_out)
+    for seed in range(2):
+        _check_order_space(grid, L_in, L_out, seed)
+    rng = np.random.default_rng(L_in)
+    mu = grid.point_weights()
+    Y = real_sh_matrix(max(L_in, L_out), grid.points())
+    Y_in, Y_out = Y[:, : n_coeffs(L_in)], Y[:, : n_coeffs(L_out)]
+    block = rng.standard_normal((n_coeffs(L_in), 3))
+    values = Y_in @ block
+    normals, energies = grid.normal(block, L_out), grid.energy(block)
+    for i in range(3):
+        c = block[:, i].copy()
+        for ref in (grid.adjoint(mu * grid.synthesis(c), L_out), Y_out.T @ (mu * values[:, i])):
+            assert np.linalg.norm(normals[:, i] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert energies[i] == pytest.approx(float(np.dot(mu, values[:, i] ** 2)), rel=1e-12)
+    drop = _mixed_drop_block(grid, rng)
+    # row n = L_in + L_out is kept in part, the long row dropped whole in column 0
+    assert 0 < drop[grid.offsets[2]:grid.offsets[3], 0].sum() < L_in + L_out
+    assert drop[grid.offsets[4]:, 0].all()
+    A, B = grid._fold(block[:, 0].copy(), L_in)
+    alpha, beta = grid._masked_spectrum(A, B, L_out, drop)
+    alpha_in, beta_in = grid._masked_spectrum(A, B, L_in, drop)
+    for i in range(3):
+        d = np.where(drop[:, i], mu, 0.0)
+        got = grid._back_project(alpha[:, i].copy(), beta[:, i].copy(), L_out)
+        for ref in (grid.adjoint(d * grid.synthesis(block[:, 0]), L_out),
+                    Y_out.T @ (d * values[:, 0])):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), i
+        form = np.sum(A * alpha_in[:, i]) + np.sum(B * beta_in[:, i])
+        assert form == pytest.approx(float(np.dot(d, values[:, 0] ** 2)), rel=1e-12), i

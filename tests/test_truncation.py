@@ -188,6 +188,45 @@ def test_spatial_index_set_limits(spatial_spec):
         spatial_index_set(spatial_spec, cap, 0.0)
 
 
+def _point_masks(spec, cap, cs):
+    """spatial_index_set's masks from the cap distance of every cell."""
+    cs = np.asarray(cs, dtype=float)
+    return {j: np.less_equal.outer(cap.distance(spec.partitions[j].grid.points()),
+                                   (cs + 1.0) * spec.a ** j) for j in spec.scales}
+
+
+@pytest.fixture(scope="module")
+def readme_spatial_spec():
+    # the README `spatial` command's frame: b = 0.4, L_max = 8, j in [-13, 2]
+    return FrameSpec.build(MEX1, A13, 0.4, L_max=8, j_range=(-13, 2))
+
+
+def _readme_caps(spec):
+    """The README polar cap, an off-pole cap, and polar caps whose reach at c = 0.5 lands
+    1e-13 inside and outside a row of scale -5."""
+    grid = spec.partitions[-5].grid
+    theta = float(grid.theta[grid.n_rows // 3])
+    radius = theta - 1.5 * spec.a ** -5
+    return [GeodesicCap(NORTH, 0.6), GeodesicCap(np.array([0.3, -0.5, 0.8]), 0.6),
+            GeodesicCap(NORTH, radius + 1e-13), GeodesicCap(NORTH, radius - 1e-13)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_spatial_index_set_rows_match_point_distances(readme_spatial_spec, case):
+    # rows decided by their colatitude alone give the per-cell masks bit for bit
+    spec = readme_spatial_spec
+    cap = _readme_caps(spec)[case]
+    cs = [0.5, 1.0, 2.0, 4.0]
+    if case >= 2:
+        grid = spec.partitions[-5].grid
+        edge = cap.radius + 1.5 * spec.a ** -5
+        assert 0 < np.min(np.abs(grid.theta - edge)) <= 2e-13
+    for c in (cs, 0.5, 3.0):
+        masks, ref = spatial_index_set(spec, cap, c), _point_masks(spec, cap, c)
+        for j in spec.scales:
+            assert np.array_equal(masks[j], ref[j]), (c, j)
+
+
 def test_far_cells_are_excluded(spatial_spec):
     cap = GeodesicCap(center=NORTH, radius=0.3)
     masks = spatial_index_set(spatial_spec, cap, 2.0)
@@ -280,8 +319,11 @@ def test_spatial_sweep_synthesizes_only_the_cap_rule(spatial_spec, cap_field, mo
     assert len(calls["synthesis"]) == 1
     assert not any(calls["synthesis"][0] is grid for grid in grids)
     assert calls["adjoint"] == []
-    # one distance pass per scale (the cubature nodes take one more block walk)
-    assert [g for g in calls["block_iter"] if any(g is grid for grid in grids)] == grids
+    # one distance pass per scale, over the rows whose colatitude leaves a mask open: none
+    # for a polar cap, whose rows each sit at one distance from its center (the cap
+    # energy's nodes take the other block walks)
+    assert not any(g is grid for g in calls["block_iter"] for grid in grids)
+    assert sum(g.n_points == 0 for g in calls["block_iter"]) == len(grids)
     # one field check, inside cap_energy_split
     assert len(calls["_check_field"]) == len(calls["cap_energy_split"]) == 1
 
