@@ -319,9 +319,13 @@ def main(argv=None):
             args = parser.parse_args(argv[:1] + _config_argv(args.subparser, args.config)
                                      + argv[1:])
         _check_finite(args)
-        return args.func(args)
+        with np.errstate(over="raise"):
+            return args.func(args)
     except (argparse.ArgumentError, ValueError, MexNeedletError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except (OverflowError, FloatingPointError):
+        print("error: a parameter value overflowed the float range", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -28,6 +28,7 @@ _TAIL_REL = 1e-18
 _MAX_TERMS = 20000  # rungs per direction
 _BLOCK_SPAN = 1e6
 _WALK_CHUNK_CELLS = _TARGET_CHUNK_FLOATS // 8  # a block holds about eight work arrays at once
+_MAX_GRID_POINTS = 10 ** 5  # 10^6 takes seconds and hundreds of MB
 
 
 def _ladder_step(filt, a):
@@ -158,6 +159,9 @@ def daubechies_bounds(filt, a, grid_points=256):
     """
     if grid_points < 64:
         raise ValueError("grid_points must be at least 64")
+    if grid_points > _MAX_GRID_POINTS:
+        raise ValueError("grid_points = %d beyond desk scale (at most %d)"
+                         % (grid_points, _MAX_GRID_POINTS))
     sigma = _ladder_step(filt, a)
     period = 2.0 * math.log(a)
 

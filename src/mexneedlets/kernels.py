@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SeriesOverflowError, UnsupportedFilterError
 
 _MAX_SERIES_DEGREE = 10 ** 6
+_MAX_THETA_POINTS = 10 ** 6  # a profile holds several arrays of this length
 DEFAULT_T_CROSS = 0.2
 MAX_DIFF_TOL = 1e-10  # series tail of series_gaussian_max_diff
 
@@ -166,6 +167,9 @@ def kernel_profile(filt, t, n_theta, method="auto", tol=1e-8, convention="laplac
     """Profile of 4 pi h_t over a uniform theta grid on [-pi, pi]."""
     if n_theta < 2:
         raise ValueError("need at least two grid points")
+    if n_theta > _MAX_THETA_POINTS:
+        raise ValueError("n_theta = %d beyond desk scale (at most %d)"
+                         % (n_theta, _MAX_THETA_POINTS))
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     thetas = np.linspace(-math.pi, math.pi, int(n_theta))

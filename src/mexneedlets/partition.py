@@ -64,7 +64,21 @@ def rect_diameter(theta1, theta2, dphi):
     return float(best) if best.ndim == 0 else best
 
 
-class ScalePartition:
+class _CellSummaries:
+    """Summaries of a partition's per-cell ``measures()`` and ``diameter_bounds()``."""
+
+    def sum_measure(self):
+        return float(np.sum(self.measures()))
+
+    def max_diameter_bound(self):
+        return float(np.max(self.diameter_bounds()))
+
+    def achieved_c0(self):
+        """min_k mu(E_k) / target^2, the measured measure-condition constant."""
+        return float(np.min(self.measures())) / self.target ** 2
+
+
+class ScalePartition(_CellSummaries):
     """Latitude-band cover of S^2 for one scale; immutable after construction.
 
     ``grid`` holds the cell representatives weighted by the cell areas.
@@ -92,19 +106,6 @@ class ScalePartition:
 
     def center_points(self):
         return self.grid.points()
-
-    def sum_measure(self):
-        return float(np.dot(self.grid.row_weight, self.grid.counts))
-
-    def max_diameter_bound(self):
-        return float(np.max(self._row_diam))
-
-    def min_measure(self):
-        return float(np.min(self.grid.row_weight))
-
-    def achieved_c0(self):
-        """min_k mu(E_k) / target^2, the measured measure-condition constant."""
-        return self.min_measure() / self.target ** 2
 
     # -- point location ----------------------------------------------------
 
@@ -259,7 +260,7 @@ def _greedy_label_block(centers, t, xyz):
     return labels
 
 
-class GreedyPartition:
+class GreedyPartition(_CellSummaries):
     """Greedy maximal-ball cells: ball centers plus labels on a quadrature grid.
 
     A geometric witness only: it belongs to no scale (``j``, ``a``, ``b``
@@ -286,16 +287,6 @@ class GreedyPartition:
 
     def center_points(self):
         return self.centers.copy()
-
-    def sum_measure(self):
-        return float(np.sum(self.cell_measures))
-
-    def max_diameter_bound(self):
-        return self.target
-
-    def achieved_c0(self):
-        """min_k mu(E_k) / target^2, the measured measure-condition constant."""
-        return float(np.min(self.cell_measures)) / self.target ** 2
 
     def locate(self, xyz):
         """Label of ``xyz`` under the recursive cell construction."""

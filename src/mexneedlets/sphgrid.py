@@ -36,8 +36,9 @@ and D(q) = sum_k d_k e^{2 pi i q k / n},
 
 D is n mu at multiples of n and 0 elsewhere on a row of constant weight mu
 (the aliasing case above) and 0 on a row of zero weight; on any other row
-one FFT of d gives it at every bin.  ``_masked_spectrum`` takes a
-(points, k) block of dropped points this way, for any mask.
+one FFT of d gives it at every bin.  ``dropped`` takes a (points, k)
+block of dropped points this way, for any mask, and returns the forms and
+sums beside ``energy`` and ``normal``.
 """
 
 import math
@@ -80,19 +81,23 @@ class BandGrid:
     def point_weights(self):
         return np.repeat(self.row_weight, self.counts)
 
+    def _by_length(self, rows, floats_per_point, min_width=1):
+        """Yield (n, indices into ``rows``) per batch of length-n rows, stably sorted by length,
+        of at most _TARGET_CHUNK_FLOATS // (floats_per_point * max(n, min_width)) rows."""
+        order = np.argsort(self.counts[rows], kind="stable")
+        lengths, first = np.unique(self.counts[rows][order], return_index=True)
+        edges = np.append(first, len(order)).tolist()
+        for n, lo, hi in zip(lengths.tolist(), edges[:-1], edges[1:]):
+            step = max(1, _TARGET_CHUNK_FLOATS // (floats_per_point * max(n, min_width)))
+            for start in range(lo, hi, step):
+                yield n, order[start:min(start + step, hi)]
+
     def _rings(self, L):
         """Yield (rows, point indices, bins m mod n, e^{i m phi0}) per batch of length-n rows."""
-        order = np.argsort(self.counts, kind="stable")
-        lengths, first = np.unique(self.counts[order], return_index=True)
-        edges = np.append(first, self.n_rows).tolist()
-        budget = max(_TARGET_CHUNK_FLOATS // (L + 2), 1024)
         m = np.arange(L + 1)
-        for n, lo, hi in zip(lengths.tolist(), edges[:-1], edges[1:]):
-            step = max(1, budget // max(n, L + 1))
-            for start in range(lo, hi, step):
-                rows = order[start:min(start + step, hi)]
-                yield (rows, self.offsets[rows][:, None] + np.arange(n), m % n,
-                       np.exp(1j * np.outer(self.phi0[rows], m)))
+        for n, rows in self._by_length(np.arange(self.n_rows), L + 2, L + 1):
+            yield (rows, self.offsets[rows][:, None] + np.arange(n), m % n,
+                   np.exp(1j * np.outer(self.phi0[rows], m)))
 
     def block_iter(self):
         """Yield (point slice, xyz block) of whole rows without materializing all points."""
@@ -234,52 +239,6 @@ class BandGrid:
         alpha[rows], beta[rows] = Z.real, Z.imag
         return alpha, beta
 
-    def _masked_spectrum(self, A, B, L, drop):
-        """Row spectra (alpha, beta), orders m <= L, of adjoint(d * values) per column of ``drop``.
-
-        ``values`` is one field with row folds A, B of shape (rows, L_in + 1), never
-        formed; ``drop`` is a (points, k) boolean block and d its column times
-        point_weights().  Returns (rows, k, L + 1) arrays.  A row that a column drops
-        whole is ``_weighted_spectrum``'s, a row it keeps whole is 0, and a row it
-        keeps in part takes D(q) = sum_k d_k e^{2 pi i q k / n} from one FFT of its
-        dropped points, read at the bins (m +- m') mod n.
-        """
-        L_in = A.shape[-1] - 1
-        dropped = np.add.reduceat(drop, self.offsets[:-1], axis=0, dtype=np.int64)
-        whole = dropped == self.counts[:, None]
-        alpha, beta = self._weighted_spectrum(A[:, None], B[:, None], L)
-        alpha, beta = alpha * whole[..., None], beta * whole[..., None]
-        rows, cols = np.nonzero((dropped > 0) & ~whole)
-        if not len(rows):
-            return alpha, beta
-        # D(q) for q = -L_in..L + L_in, one FFT per batch of (row, column) pairs of length n
-        order = np.argsort(self.counts[rows], kind="stable")
-        rows, cols = rows[order], cols[order]
-        lengths, first = np.unique(self.counts[rows], return_index=True)
-        edges = np.append(first, len(rows)).tolist()
-        q = np.arange(-L_in, L + L_in + 1)
-        D = np.empty((len(rows), len(q)), dtype=complex)
-        for n, lo, hi in zip(lengths.tolist(), edges[:-1], edges[1:]):
-            step = max(1, _TARGET_CHUNK_FLOATS // (2 * n))
-            for start in range(lo, hi, step):
-                pairs = slice(start, min(start + step, hi))
-                points = self.offsets[rows[pairs]][:, None] + np.arange(n)
-                D[pairs] = np.fft.ifft(drop[points, cols[pairs, None]], axis=1,
-                                       norm="forward")[:, q % n]
-        # Z_m = 1/2 mu e^{i m phi0} sum_m' [C_m' D(m + m') + conj(C_m') D(m - m')]
-        m_out, m_in = np.arange(L + 1)[:, None], np.arange(L_in + 1)
-        plus, minus = m_out + m_in + L_in, m_out - m_in + L_in
-        phase = np.exp(1j * np.outer(self.phi0[rows], np.arange(max(L_in, L) + 1)))
-        C = ((A[rows] - 1j * B[rows]) * phase[:, : L_in + 1])[:, None, :]
-        step = max(1, _TARGET_CHUNK_FLOATS // (2 * plus.size))
-        for start in range(0, len(rows), step):
-            p = slice(start, start + step)
-            Z = (np.sum(D[p][:, plus] * C[p], axis=-1)
-                 + np.sum(D[p][:, minus] * C[p].conj(), axis=-1))
-            Z *= (0.5 * self.row_weight[rows[p]])[:, None] * phase[p, : L + 1]
-            alpha[rows[p], cols[p]], beta[rows[p], cols[p]] = Z.real, Z.imag
-        return alpha, beta
-
     def _column_chunks(self, k, L):
         """Slices of k columns whose complex (rows, columns, L + 1) arrays fit the chunk budget."""
         step = max(1, _TARGET_CHUNK_FLOATS // (2 * self.n_rows * (L + 1)))
@@ -316,6 +275,49 @@ class BandGrid:
         out = np.concatenate([_column_sums(A * alpha) + _column_sums(B * beta)
                               for A, B, alpha, beta in self._spectra(coeffs, L)])
         return float(out[0]) if np.ndim(coeffs) == 1 else out
+
+    def dropped(self, coeffs, L, drop):
+        """Form and sum of a field over the points that each column of a (points, k) block drops.
+
+        With v = synthesis(c) and mu = point_weights() zeroed on the points a column keeps,
+        returns k forms dot(mu, v ** 2) and an (n_coeffs(L), k) block of adjoint(mu * v, L),
+        without point values: a row dropped whole takes ``_weighted_spectrum``'s spectrum, a
+        row kept in part D(q) from one FFT of its dropped points.  Each column is
+        back-projected from its own copy, so it gets the bits of a block of that column alone.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        L_in = band_of_length(len(coeffs))
+        A, B = self._fold(coeffs, L_in)
+        top = max(L, L_in)  # the forms read orders up to L_in
+        n_dropped = np.add.reduceat(drop, self.offsets[:-1], axis=0, dtype=np.int64)
+        whole = n_dropped == self.counts[:, None]
+        alpha, beta = self._weighted_spectrum(A[:, None], B[:, None], top)
+        alpha, beta = alpha * whole[..., None], beta * whole[..., None]
+        rows, cols = np.nonzero((n_dropped > 0) & ~whole)
+        # D(q) for q = -L_in..top + L_in, one FFT per batch of (row, column) pairs of length n
+        q = np.arange(-L_in, top + L_in + 1)
+        D = np.empty((len(rows), len(q)), dtype=complex)
+        for n, pairs in self._by_length(rows, 2):
+            points = self.offsets[rows[pairs]][:, None] + np.arange(n)
+            D[pairs] = np.fft.ifft(drop[points, cols[pairs, None]], axis=1,
+                                   norm="forward")[:, q % n]
+        # Z_m = 1/2 mu e^{i m phi0} sum_m' [C_m' D(m + m') + conj(C_m') D(m - m')]
+        m_out, m_in = np.arange(top + 1)[:, None], np.arange(L_in + 1)
+        plus, minus = m_out + m_in + L_in, m_out - m_in + L_in
+        phase = np.exp(1j * np.outer(self.phi0[rows], np.arange(top + 1)))
+        C = ((A[rows] - 1j * B[rows]) * phase[:, : L_in + 1])[:, None, :]
+        step = max(1, _TARGET_CHUNK_FLOATS // (2 * plus.size))
+        for start in range(0, len(rows), step):
+            p = slice(start, start + step)
+            Z = (np.sum(D[p][:, plus] * C[p], axis=-1)
+                 + np.sum(D[p][:, minus] * C[p].conj(), axis=-1))
+            Z *= (0.5 * self.row_weight[rows[p]])[:, None] * phase[p]
+            alpha[rows[p], cols[p]], beta[rows[p], cols[p]] = Z.real, Z.imag
+        forms = (_column_sums(A[:, None] * alpha[..., : L_in + 1])
+                 + _column_sums(B[:, None] * beta[..., : L_in + 1]))
+        sums = np.stack([self._back_project(alpha[:, i].copy(), beta[:, i].copy(), L)
+                         for i in range(drop.shape[1])], axis=1)
+        return forms, sums
 
 
 def _column_sums(products):

@@ -24,7 +24,7 @@ import numpy as np
 from .daubechies import _ladder_sums, filter_axis, truncated_daubechies_sum
 from .fields import evaluate_field
 from .frame import FrameSpec, _check_field, _weighted, apply_summation
-from .harmonics import band_of_length, degree_of_index, geodesic_distance, n_coeffs
+from .harmonics import degree_of_index, geodesic_distance, n_coeffs
 from .cubature import cubature_rule, product_grid
 from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 
@@ -266,26 +266,16 @@ class SpatialTruncationReport:
 def _dropped_sums(spec, coeffs, masks):
     """(<S_D F, F>, S_D F) per column of the (cells, k) kept masks, D the cells a column drops.
 
-    Returns k forms and a (k, n_coeffs) array whose rows are the sums.  Each
-    scale folds the field once and takes the row spectra of every column from
-    ``BandGrid._masked_spectrum``, without point values: the form is the sum
-    of fold times spectrum, as in ``BandGrid.energy``, and the sum its
-    back-projection.  Each column is summed and back-projected from its own
-    copy, so it gets the same bits as a block of that column alone.
+    Returns k forms and a (k, n_coeffs) array whose rows are the sums: per scale, the
+    ``BandGrid.dropped`` sums of w_j F over the cells a column drops, without point values.
     """
     L = spec.L_max
     forms = np.zeros(next(iter(masks.values())).shape[1])
     sums = np.zeros((len(forms), n_coeffs(L)))
     for j, grid, w in spec.terms():
-        weighted = _weighted(w, coeffs)
-        L_in = band_of_length(len(weighted))
-        A, B = grid._fold(weighted, L_in)
-        alpha, beta = grid._masked_spectrum(A, B, L, ~masks[j])
-        w_lq = w[degree_of_index(L)]
-        for i in range(len(forms)):
-            a, b = alpha[:, i].copy(), beta[:, i].copy()
-            forms[i] += np.sum(A * a[:, : L_in + 1]) + np.sum(B * b[:, : L_in + 1])
-            sums[i] += w_lq * grid._back_project(a, b, L)
+        scale_forms, scale_sums = grid.dropped(_weighted(w, coeffs), L, ~masks[j])
+        forms += scale_forms
+        sums += w[degree_of_index(L)] * scale_sums.T
     return forms, sums
 
 
@@ -295,9 +285,9 @@ def spatial_truncation_report(spec, field, cap, cs, I_decay, *, b_emp):
     ``measured`` is ||S F - S_kept F|| and ``dropped_quadratic_form`` is
     <(S F - S_kept F), F>, both over the cells dropped by ``spatial_index_set``
     at c.  The field check, cap energies and distances run once per sweep,
-    and ``_dropped_sums`` folds the field once per scale and reads every
-    column of the kept-mask blocks without point values; the cap rule of
-    ``cap_energy_split`` is the sweep's only synthesis.
+    and ``_dropped_sums`` takes every column of the kept-mask blocks from one
+    ``BandGrid.dropped`` call per scale, without point values; the cap rule
+    of ``cap_energy_split`` is the sweep's only synthesis.
     ``structural_factor`` is [mu(Gamma) sum_j a^{-2j} c^{2-2I}]^{1/2} ||chi F||
     with the approximate on-cap energy of ``cap_energy_split``; it shrinks
     as c grows only for I > 1, so ``I_decay`` must exceed 1.  ``leakage``

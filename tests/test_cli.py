@@ -195,14 +195,37 @@ def test_frame_verify_band_below_1_exits_2(mode, l_max, monkeypatch, capsys):
      "c * 2^doublings overflows a float at c = 0.5, doublings = 1100"),
     (["spatial", "--c", "1e300", "--doublings", "100"],
      "c * 2^doublings overflows a float at c = 1e+300, doublings = 100"),
+    # one past the desk-scale caps, rejected before the ladder or the profile is evaluated
+    (["daubechies", "--grid-points", "100001"],
+     "grid_points = 100001 beyond desk scale (at most 100000)"),
+    (["kernel-profile", "--n", "1000001", "--t", "10", "--method", "series"],
+     "n_theta = 1000001 beyond desk scale (at most 1000000)"),
 ], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
         "n-800", "n-1e6", "l-max-above-cap", "n-250-tails", "n-708-tails", "i-decay-1",
-        "i-decay-0", "i-decay-negative", "c-0", "c-negative", "doublings-1100", "c-1e300"])
+        "i-decay-0", "i-decay-negative", "c-0", "c-negative", "doublings-1100", "c-1e300",
+        "grid-points-above-cap", "n-theta-above-cap"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [
+    ["daubechies", "--a", "1e308"],
+    ["frame-verify", "--a", "1e300", "--j-min", "0", "--j-max", "0"],
+    ["truncation", "--J", "200"],
+    # M_J fits a float here, but r^J on the moment search grid does not
+    ["truncation", "--J", "100"],
+    ["truncation", "--L", "1e300"],
+    ["spatial", "--c", "1e-300"],
+    ["needlet-diag", "--a", "1e300"],
+], ids=lambda argv: "-".join(argv))
+def test_finite_parameter_that_overflows_exits_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a parameter value overflowed the float range\n"
 
 
 @pytest.mark.parametrize("option, value", [("--c", "0"), ("--i-decay", "1"),

@@ -189,14 +189,11 @@ def test_masked_spectrum_matches_point_path(case):
     assert np.any(partly & (grid.counts <= L_in + L_out)), name
     c = rng.standard_normal(n_coeffs(L_in))
     values, weights = grid.synthesis(c), grid.point_weights()
-    A, B = grid._fold(c, L_in)
-    alpha, beta = grid._masked_spectrum(A, B, L_out, drop)
-    assert alpha.shape == beta.shape == (grid.n_rows, 4, L_out + 1)
-    alpha_in, beta_in = grid._masked_spectrum(A, B, L_in, drop)
+    forms, sums = grid.dropped(c, L_out, drop)
+    assert forms.shape == (4,) and sums.shape == (n_coeffs(L_out), 4)
     for i in range(4):
         d = np.where(drop[:, i], weights, 0.0)
-        got = grid._back_project(alpha[:, i].copy(), beta[:, i].copy(), L_out)
-        form = np.sum(A * alpha_in[:, i]) + np.sum(B * beta_in[:, i])
+        got, form = sums[:, i], forms[i]
         if i == 3:
             assert not np.any(got) and form == 0.0
             continue
@@ -215,7 +212,7 @@ def _boundary_grid(L_in, L_out):
 
 @pytest.mark.parametrize("L_in, L_out", [(5, 12), (12, 7)])
 def test_order_space_at_the_long_row_boundary(L_in, L_out):
-    # normal, energy and the masked spectra against the point path and the dense
+    # normal, energy and the dropped sums against the point path and the dense
     # harmonics, on both sides of n = L_in + L_out
     grid = _boundary_grid(L_in, L_out)
     for seed in range(2):
@@ -236,14 +233,10 @@ def test_order_space_at_the_long_row_boundary(L_in, L_out):
     # row n = L_in + L_out is kept in part, the long row dropped whole in column 0
     assert 0 < drop[grid.offsets[2]:grid.offsets[3], 0].sum() < L_in + L_out
     assert drop[grid.offsets[4]:, 0].all()
-    A, B = grid._fold(block[:, 0].copy(), L_in)
-    alpha, beta = grid._masked_spectrum(A, B, L_out, drop)
-    alpha_in, beta_in = grid._masked_spectrum(A, B, L_in, drop)
+    forms, sums = grid.dropped(block[:, 0], L_out, drop)
     for i in range(3):
         d = np.where(drop[:, i], mu, 0.0)
-        got = grid._back_project(alpha[:, i].copy(), beta[:, i].copy(), L_out)
         for ref in (grid.adjoint(d * grid.synthesis(block[:, 0]), L_out),
                     Y_out.T @ (d * values[:, 0])):
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), i
-        form = np.sum(A * alpha_in[:, i]) + np.sum(B * beta_in[:, i])
-        assert form == pytest.approx(float(np.dot(d, values[:, 0] ** 2)), rel=1e-12), i
+            assert np.linalg.norm(sums[:, i] - ref) <= 1e-12 * np.linalg.norm(ref), i
+        assert forms[i] == pytest.approx(float(np.dot(d, values[:, 0] ** 2)), rel=1e-12), i
