@@ -92,8 +92,17 @@ def _float_list(text):
         raise argparse.ArgumentTypeError("invalid float list: %r" % text) from None
 
 
+def _finite_or_null(x):
+    """``x`` with every non-finite float as None, so that it dumps as strict JSON."""
+    if isinstance(x, dict):
+        return {key: _finite_or_null(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(value) for value in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _dump_json(doc, path):
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    text = json.dumps(_finite_or_null(doc), indent=1, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -295,7 +304,7 @@ def build_parser():
                    candidates=(_count, 2000), cubature_degree=(int, None))
     p.add_argument("--greedy", action="store_true")
     p = subcommand("frame-verify", cmd_frame_verify, "empirical frame bounds",
-                   **_frame_options(0.5, 16, None, None, filt=None),
+                   **_frame_options(0.9, 16, None, None, filt=None),
                    trials=(_count, 20), seed=(int, 0))
     p.add_argument("--mode", choices=["partition", "needlet"], default="partition")
     subcommand("truncation", cmd_truncation, "frequency truncation report",

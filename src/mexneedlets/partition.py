@@ -14,7 +14,6 @@ It has no sampling grid and never enters a frame.
 
 import json
 import math
-import warnings
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
 DESK_SCALE_MIN_DIAMETER = 1e-3
 MEASURE_CONDITION_DELTA0 = math.pi / 2
 GREEDY_GRID_THETA = 512  # greedy cells are labelled on product_grid(512, 1024)
+_MAX_CANDIDATES = 10 ** 6  # 10^6 candidates at t = pi/4 take about 0.4 s and 110 MB
 
 # Representative points sit off-center inside each cell (fixed interior
 # area fractions).  Any interior point is admissible; cell midpoints would
@@ -219,18 +219,19 @@ def greedy_ball_partition(t, candidates=2000):
         raise ValueError("ball radius t must lie in (0, pi)")
     if candidates < 1:
         raise ValueError("need at least one candidate point")
+    if candidates > _MAX_CANDIDATES:
+        raise ValueError("candidates = %d beyond desk scale (at most %d)"
+                         % (candidates, _MAX_CANDIDATES))
     pts = fibonacci_points(candidates)
+    # the first open candidate is a center and closes every candidate within 2t of it
+    open_ = np.ones(candidates, dtype=bool)
     chosen = []
-    for p in pts:
-        if not chosen or np.min(geodesic_distance(np.array(chosen), p)) >= 2.0 * t:
-            chosen.append(p)
-    centers = np.array(chosen)
-
-    # maximality certificate on the candidate set: every candidate lies
-    # within t of some chosen ball, i.e. within 2t of a chosen center
-    cover = geodesic_distance(pts[:, None, :], centers[None, :, :]).min(axis=1)
-    if np.max(cover) >= 2.0 * t:
-        warnings.warn("candidate set exhausted without certifying maximality")
+    while open_.any():
+        i = int(np.argmax(open_))
+        chosen.append(i)
+        open_[i] = False  # its rounded self-distance may reach a tiny 2t
+        open_ &= geodesic_distance(pts, pts[i]) >= 2.0 * t
+    centers = pts[chosen]
 
     label_grid = product_grid(GREEDY_GRID_THETA, 2 * GREEDY_GRID_THETA)
     # a label block's largest array is geodesic_distance's (points, centers, 3) product
@@ -243,21 +244,9 @@ def greedy_ball_partition(t, candidates=2000):
 
 
 def _greedy_label_block(centers, t, xyz):
+    """Per point: the first inner ball, else the first doubled ball, else the nearest center."""
     dist = geodesic_distance(xyz[:, None, :], centers[None, :, :])
-    n = dist.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    inner = dist < t
-    has_inner = inner.any(axis=1)
-    labels[has_inner] = np.argmax(inner[has_inner], axis=1)
-    outer = dist < 2.0 * t
-    rest = ~has_inner
-    hit = outer[rest]
-    found = hit.any(axis=1)
-    rest_idx = np.flatnonzero(rest)
-    labels[rest_idx[found]] = np.argmax(hit[found], axis=1)
-    # uncovered grid points (possible only if maximality failed): nearest center
-    labels[rest_idx[~found]] = np.argmin(dist[rest_idx[~found]], axis=1)
-    return labels
+    return np.argmin(np.where(dist < t, -2.0, np.where(dist < 2.0 * t, -1.0, dist)), axis=1)
 
 
 class GreedyPartition(_CellSummaries):

@@ -130,6 +130,30 @@ def test_truncation_fits_c0_at_the_level_of_its_reports(monkeypatch):
     assert levels == [3.0, 3.0]
 
 
+@pytest.mark.parametrize("command", ["daubechies", "kernel-profile", "partition", "frame-verify",
+                                     "truncation", "spatial", "needlet-diag"])
+def test_every_subcommand_runs_at_its_defaults(command, capsys):
+    assert run([command]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError("non-standard JSON constant %s" % constant)
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_out_files_are_strict_json_with_null_for_non_finite_numbers(tmp_path):
+    failed = tmp_path / "failed.json"
+    assert run(["frame-verify", "--l-max", "2", "--j-min", "13", "--j-max", "14",
+                "--trials", "2", "--out", str(failed)]) == 3
+    assert _strict_json(failed)["ratio"] is None
+    cap = tmp_path / "cap.json"
+    assert run(["spatial", "--cap-radius", "0", "--out", str(cap)]) == 0
+    assert all(rec["measured_to_structural"] is None for rec in _strict_json(cap)["sweep"])
+
+
 def test_frame_verify_failure_exit_code():
     # scales so far out that every weight underflows to zero
     assert run(["frame-verify", "--l-max", "2", "--j-min", "13", "--j-max", "14",
@@ -200,10 +224,12 @@ def test_frame_verify_band_below_1_exits_2(mode, l_max, monkeypatch, capsys):
      "grid_points = 100001 beyond desk scale (at most 100000)"),
     (["kernel-profile", "--n", "1000001", "--t", "10", "--method", "series"],
      "n_theta = 1000001 beyond desk scale (at most 1000000)"),
+    (["partition", "--greedy", "--candidates", "1000001"],
+     "candidates = 1000001 beyond desk scale (at most 1000000)"),
 ], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
         "n-800", "n-1e6", "l-max-above-cap", "n-250-tails", "n-708-tails", "i-decay-1",
         "i-decay-0", "i-decay-negative", "c-0", "c-negative", "doublings-1100", "c-1e300",
-        "grid-points-above-cap", "n-theta-above-cap"])
+        "grid-points-above-cap", "n-theta-above-cap", "candidates-above-cap"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from mexneedlets import (FrameSpec, SpectralFilter, build_partition, greedy_ball
                          partition_to_json, rect_diameter)
 from mexneedlets import partition as partition_module
 from mexneedlets.errors import CellCountOverflowError
-from mexneedlets.partition import MEASURE_CONDITION_DELTA0, PHI_FRACTION, THETA_FRACTION
+from mexneedlets.cubature import product_grid
+from mexneedlets.partition import (MEASURE_CONDITION_DELTA0, PHI_FRACTION, THETA_FRACTION,
+                                   _greedy_label_block, fibonacci_points)
 from mexneedlets.harmonics import geodesic_distance, sph_to_xyz
 
 A13 = 2.0 ** (1.0 / 3.0)
@@ -263,9 +266,8 @@ def test_greedy_partition_structure():
     dist = geodesic_distance(centers[:, None, :], centers[None, :, :])
     np.fill_diagonal(dist, math.inf)
     assert np.min(dist) >= 2 * t
-    # maximality certificate on the candidate set: everything within one
-    # ball radius of the union of chosen balls
-    from mexneedlets.partition import fibonacci_points
+    # maximal on the candidate set: everything within one ball radius of
+    # the union of chosen balls
     cand = fibonacci_points(2000)
     cover = geodesic_distance(cand[:, None, :], centers[None, :, :]).min(axis=1)
     assert np.max(cover) < 2 * t
@@ -315,7 +317,6 @@ def test_greedy_locate_consistent_with_labels():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((50, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    from mexneedlets.partition import _greedy_label_block
     for x in pts:
         assert part.locate(x) == _greedy_label_block(part.centers, part.t, x[None, :])[0]
 
@@ -334,3 +335,87 @@ def test_partition_json_schema(tmp_path):
 def test_greedy_partition_needs_a_candidate():
     with pytest.raises(ValueError, match="at least one candidate"):
         greedy_ball_partition(0.9, candidates=0)
+
+
+def test_greedy_candidates_beyond_desk_scale_are_rejected_before_any_work(monkeypatch):
+    def refuse(n):
+        raise AssertionError("candidates generated before the cap was checked")
+
+    monkeypatch.setattr(partition_module, "fibonacci_points", refuse)
+    with pytest.raises(ValueError, match=r"candidates = 1000001 beyond desk scale"):
+        greedy_ball_partition(0.9, candidates=10 ** 6 + 1)
+
+
+# -- greedy references: one candidate and one point at a time -------------
+
+
+def _ref_greedy_centers(t, candidates):
+    """Keep each candidate in turn unless it lies within 2t of a center kept before it."""
+    chosen = []
+    for p in fibonacci_points(candidates):
+        if not chosen or np.min(geodesic_distance(np.array(chosen), p)) >= 2.0 * t:
+            chosen.append(p)
+    return np.array(chosen)
+
+
+def _ref_greedy_label(centers, t, x):
+    """The recursive cell of ``x``: first inner ball, else first doubled ball, else nearest."""
+    dist = geodesic_distance(centers, x)
+    for radius in (t, 2.0 * t):
+        for k, d in enumerate(dist):
+            if d < radius:
+                return k
+    return int(np.argmin(dist))
+
+
+# the first two of three candidates lie exactly 2t apart: the second one is kept
+_T_EDGE = float(geodesic_distance(fibonacci_points(3)[0], fibonacci_points(3)[1])) / 2.0
+
+
+def _random_unit_vectors(rng, n):
+    x = rng.standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("t, candidates", [
+    (math.pi / 4, 2000), (0.3, 2000), (0.9, 200), (0.9, 500), (0.05, 2000), (1.7, 2000),
+    (3.0, 50), (1e-10, 3), (1e-10, 50), (1e-3, 5), (_T_EDGE, 3)])
+def test_greedy_centers_and_labels_match_the_references(t, candidates, monkeypatch):
+    # a coarse label grid: the centers do not depend on it
+    monkeypatch.setattr(partition_module, "product_grid", lambda n_theta, n_phi: product_grid(8, 16))
+    part = greedy_ball_partition(t, candidates=candidates)
+    assert np.array_equal(part.centers, _ref_greedy_centers(t, candidates))
+    nodes = part.label_grid.points()
+    assert np.array_equal(part.labels, [_ref_greedy_label(part.centers, t, x) for x in nodes])
+    assert np.array_equal(part.measures(), np.bincount(part.labels, part.label_grid.point_weights(),
+                                                       minlength=part.n_cells))
+
+
+@pytest.mark.parametrize("t, candidates", [(0.3, 2000), (0.9, 500), (0.05, 2000)])
+def test_greedy_label_block_matches_the_reference_on_random_points(t, candidates):
+    centers = _ref_greedy_centers(t, candidates)
+    xyz = _random_unit_vectors(np.random.default_rng(11), 2000)
+    labels = _greedy_label_block(centers, t, xyz)
+    assert np.array_equal(labels, [_ref_greedy_label(centers, t, x) for x in xyz])
+
+
+def test_greedy_label_block_falls_back_to_the_nearest_center():
+    # two antipodal balls of radius 0.3 leave the equatorial belt uncovered
+    t = 0.3
+    centers = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    xyz = _random_unit_vectors(np.random.default_rng(12), 2000)
+    dist = geodesic_distance(xyz[:, None, :], centers[None, :, :])
+    uncovered = dist.min(axis=1) >= 2.0 * t
+    assert uncovered.sum() > 1000 and (dist.min(axis=1) < t).any()
+    labels = _greedy_label_block(centers, t, xyz)
+    assert np.array_equal(labels, [_ref_greedy_label(centers, t, x) for x in xyz])
+    assert np.array_equal(labels[uncovered], (xyz[uncovered, 2] < 0.0).astype(int))
+
+
+def test_greedy_radius_below_self_distance_rounding_keeps_every_candidate():
+    # at t = 1e-10 a candidate's rounded distance to itself exceeds 2t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = greedy_ball_partition(1e-10, candidates=3)
+    assert part.n_cells == 3
+    assert np.array_equal(part.centers, fibonacci_points(3))
