@@ -224,7 +224,7 @@ def greedy_ball_partition(t, candidates=2000):
                          % (candidates, _MAX_CANDIDATES))
     pts = fibonacci_points(candidates)
     # the first open candidate is a center and closes every candidate within 2t of it
-    open_ = np.ones(candidates, dtype=bool)
+    open_ = np.ones(len(pts), dtype=bool)
     chosen = []
     while open_.any():
         i = int(np.argmax(open_))
