@@ -9,23 +9,33 @@ partition identity sum(mu) = 4 pi holds to rounding.
 A greedy maximal-ball construction (``GreedyPartition``) is kept as a
 geometric witness: cells are recursive set differences of caps,
 represented as label maps on a quadrature grid (no closed-form areas).
-It has no sampling grid and never enters a frame.
+It has no sampling grid and never enters a frame.  Candidates and grid
+rows both ascend in colatitude, so each step reads only what lies within
+its colatitude reach: a chosen center tests the candidates of its 2t
+window, and a block of grid rows is ranked against the centers of its 2t
+band.  The cost is about centers x window plus grid points x band
+centers, never candidates x centers or grid points x centers.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 
 from .cubature import product_grid
 from .errors import CellCountOverflowError
 from .harmonics import geodesic_distance
-from .sphgrid import _TARGET_CHUNK_FLOATS, BandGrid
+from .sphgrid import BandGrid
 
 DESK_SCALE_MIN_DIAMETER = 1e-3
 MEASURE_CONDITION_DELTA0 = math.pi / 2
 GREEDY_GRID_THETA = 512  # greedy cells are labelled on product_grid(512, 1024)
-_MAX_CANDIDATES = 10 ** 6  # 10^6 candidates at t = pi/4 take about 0.4 s and 110 MB
+_MAX_CANDIDATES = 10 ** 6  # 10^6 candidates at t = pi/4 take about 0.25 s and 100 MB
+_MAX_CENTERS = 2 * 10 ** 4  # the largest greedy runs this admits take about 4 s on 2 vCPUs
+_RING_BLOCK_FLOATS = 2 ** 15  # floats per (points, centers) array of a greedy label block
+# rad: colatitude slack of the greedy windows, far above arccos rounding (about 3e-8 near 0 and pi)
+_COLATITUDE_MARGIN = 1e-6
 
 # Representative points sit off-center inside each cell (fixed interior
 # area fractions).  Any interior point is admissible; cell midpoints would
@@ -214,39 +224,145 @@ def greedy_ball_partition(t, candidates=2000):
     B(y_k, t) <= E_k <= B(y_k, 2t).  Cells are label maps on a
     Gauss-Legendre x longitude grid; measures are grid-quadrature sums, so
     they total exactly 4 pi while individual cells carry grid error.
+
+    Cost: candidate colatitudes ascend with the index and the first open
+    candidate is the next center, so a center tests only the candidates of
+    its colatitude window [theta_k, theta_k + 2t], about centers x window
+    distances in all.  Labels are formed ring block by ring block against
+    the centers within colatitude 2t of the block (``_greedy_ring_labels``),
+    about grid points x centers in that band.  At most
+    min(candidates, 1 / sin^2(t/2)) centers fit, since their radius-t balls
+    are disjoint; above 2 * 10^4 the call is refused before any work.
     """
     if not 0.0 < t < math.pi:
         raise ValueError("ball radius t must lie in (0, pi)")
+    if (4.0 * t) ** 2 < 4.0 * math.pi / sys.float_info.max:
+        raise ValueError("t = %r too small: min measure / (4t)^2 overflows a float" % (t,))
     if candidates < 1:
         raise ValueError("need at least one candidate point")
     if candidates > _MAX_CANDIDATES:
         raise ValueError("candidates = %d beyond desk scale (at most %d)"
                          % (candidates, _MAX_CANDIDATES))
+    sin2 = math.sin(0.5 * t) ** 2  # a radius-t ball covers 4 pi sin^2(t/2)
+    most = candidates if candidates * sin2 <= 1.0 else 1.0 / sin2
+    if most > _MAX_CENTERS:
+        raise ValueError("up to %.6g centers at t = %r from %d candidates, beyond desk scale "
+                         "(at most %d)" % (most, t, candidates, _MAX_CENTERS))
     pts = fibonacci_points(candidates)
-    # the first open candidate is a center and closes every candidate within 2t of it
+    x, y, z = np.ascontiguousarray(pts.T)
+    theta = np.arccos(z)  # ascends with the index
+    # the first open candidate is a center and closes every candidate within 2t of it;
+    # the ones before it are closed already, the ones past its window lie farther than 2t
     open_ = np.ones(len(pts), dtype=bool)
     chosen = []
-    while open_.any():
-        i = int(np.argmax(open_))
+    i = 0
+    while True:
         chosen.append(i)
+        hi = int(np.searchsorted(theta, theta[i] + 2.0 * t + _COLATITUDE_MARGIN, side="right"))
         open_[i] = False  # its rounded self-distance may reach a tiny 2t
-        open_ &= geodesic_distance(pts, pts[i]) >= 2.0 * t
+        open_[i:hi] &= _greedy_distance(x[i:hi], y[i:hi], z[i:hi], pts[i]) >= 2.0 * t
+        i += int(np.argmax(open_[i:]))
+        if not open_[i]:
+            break
     centers = pts[chosen]
 
     label_grid = product_grid(GREEDY_GRID_THETA, 2 * GREEDY_GRID_THETA)
-    # a label block's largest array is geodesic_distance's (points, centers, 3) product
-    step = max(1, _TARGET_CHUNK_FLOATS // (3 * len(centers)))
-    points = label_grid.points()
-    labels = np.concatenate([_greedy_label_block(centers, t, points[start:start + step])
-                             for start in range(0, len(points), step)])
+    labels = _greedy_ring_labels(centers, t, label_grid)
     measures = np.bincount(labels, weights=label_grid.point_weights(), minlength=len(centers))
     return GreedyPartition(t, centers, measures, label_grid, labels)
 
 
+def _greedy_distance(x, y, z, c):
+    """``geodesic_distance`` from points given as coordinate columns to c, summed in its order.
+
+    c[0], c[1], c[2] are a center's coordinates or (centers, 1) columns of them.
+    """
+    dot = (x * c[0] + y * c[1]) + z * c[2]
+    return np.arccos(np.clip(dot, -1.0, 1.0, out=dot), out=dot)
+
+
+def _greedy_rank(dist, t):
+    """-2 inside an inner ball, -1 inside a doubled ball, else the distance: argmin labels."""
+    return np.where(dist < t, -2.0, np.where(dist < 2.0 * t, -1.0, dist))
+
+
 def _greedy_label_block(centers, t, xyz):
     """Per point: the first inner ball, else the first doubled ball, else the nearest center."""
-    dist = geodesic_distance(xyz[:, None, :], centers[None, :, :])
-    return np.argmin(np.where(dist < t, -2.0, np.where(dist < 2.0 * t, -1.0, dist)), axis=1)
+    return np.argmin(_greedy_rank(geodesic_distance(xyz[:, None, :], centers[None, :, :]), t),
+                     axis=1)
+
+
+def _greedy_ring_labels(centers, t, grid):
+    """``_greedy_label_block(centers, t, grid.points())``, each ring block read against near centers.
+
+    ``centers`` ascend in colatitude, as greedy centers do.  ``grid`` is a
+    product grid: its rows ascend in colatitude and each holds the same n
+    longitudes from 0, so a point's coordinates are the products
+    sin(theta) cos(phi), sin(theta) sin(phi), cos(theta) that ``points()``
+    forms, taken from one sine and cosine per row and per longitude.
+
+    A center whose colatitude differs from a point's by more than ``reach``
+    lies, as computed, more than reach - _COLATITUDE_MARGIN from it.  So a
+    block of whole rows is ranked first against the centers within reach =
+    2t + margin of its colatitudes: they hold every center within 2t of its
+    points, and a point in none of their doubled balls is done once its
+    nearest of them lies within reach - margin.  The other points are ranked
+    again at twice the reach.  A band is a run of consecutive centers, so
+    ties go to the first center as in ``_greedy_label_block``.
+    """
+    theta_c = np.arccos(np.clip(centers[:, 2], -1.0, 1.0))
+
+    def band(lo, hi, reach):
+        """First and end index of the centers within ``reach`` of colatitudes [lo, hi]."""
+        return (int(np.searchsorted(theta_c, lo - reach, side="left")),
+                int(np.searchsorted(theta_c, hi + reach, side="right")))
+
+    theta, n = grid.theta, int(grid.counts[0])
+    phi = grid.dphi[0] * np.arange(n)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    sin_theta, cos_theta = np.sin(theta), np.cos(theta)
+    reach0 = 2.0 * t + _COLATITUDE_MARGIN
+    labels = np.empty(grid.n_points, dtype=np.intp)
+    start = 0
+    while start < grid.n_rows:
+        # whole rows while the block's (points, band centers) array fits the budget
+        stop = start + 1
+        while stop < grid.n_rows:
+            first, end = band(theta[start], theta[stop], reach0)
+            if (stop + 1 - start) * n * (end - first) > _RING_BLOCK_FLOATS:
+                break
+            stop += 1
+        x = (sin_theta[start:stop, None] * cos_phi).ravel()
+        y = (sin_theta[start:stop, None] * sin_phi).ravel()
+        z = np.repeat(cos_theta[start:stop], n)
+        block = labels[start * n:stop * n]
+        pending = np.arange(len(x))
+        reach = reach0
+        while len(pending):
+            first, end = band(theta[start], theta[stop - 1], reach)
+            if end > first:
+                k, best = _greedy_nearest_rank(centers[first:end], t,
+                                               x[pending], y[pending], z[pending])
+                done = (best <= reach - _COLATITUDE_MARGIN) | (end - first == len(centers))
+                block[pending[done]] = first + k[done]
+                pending = pending[~done]
+            reach *= 2.0
+        start = stop
+    return labels
+
+
+def _greedy_nearest_rank(centers, t, x, y, z):
+    """Per point (x, y, z): argmin and min of ``_greedy_rank`` over ``centers``, blockwise."""
+    k = np.empty(len(x), dtype=np.intp)
+    best = np.empty(len(x))
+    columns = centers.T[:, :, None]
+    step = max(1, _RING_BLOCK_FLOATS // len(centers))
+    for start in range(0, len(x), step):
+        sl = slice(start, start + step)
+        rank = _greedy_rank(_greedy_distance(x[sl], y[sl], z[sl], columns), t)  # (centers, points)
+        k[sl] = np.argmin(rank, axis=0)
+        best[sl] = np.min(rank, axis=0)
+    return k, best
 
 
 class GreedyPartition(_CellSummaries):

@@ -226,10 +226,19 @@ def test_frame_verify_band_below_1_exits_2(mode, l_max, monkeypatch, capsys):
      "n_theta = 1000001 beyond desk scale (at most 1000000)"),
     (["partition", "--greedy", "--candidates", "1000001"],
      "candidates = 1000001 beyond desk scale (at most 1000000)"),
+    # disjoint radius-t balls: at most min(candidates, 1 / sin^2(t/2)) centers
+    (["partition", "--greedy", "--t", "0.001", "--candidates", "20001"],
+     "up to 20001 centers at t = 0.001 from 20001 candidates, beyond desk scale (at most 20000)"),
+    # achieved-c0 = min measure / (4t)^2: a ZeroDivisionError, then inf, before the check
+    (["partition", "--greedy", "--t", "1e-300", "--candidates", "3"],
+     "t = 1e-300 too small: min measure / (4t)^2 overflows a float"),
+    (["partition", "--greedy", "--t", "1e-160", "--candidates", "3"],
+     "t = 1e-160 too small: min measure / (4t)^2 overflows a float"),
 ], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
         "n-800", "n-1e6", "l-max-above-cap", "n-250-tails", "n-708-tails", "i-decay-1",
         "i-decay-0", "i-decay-negative", "c-0", "c-negative", "doublings-1100", "c-1e300",
-        "grid-points-above-cap", "n-theta-above-cap", "candidates-above-cap"])
+        "grid-points-above-cap", "n-theta-above-cap", "candidates-above-cap",
+        "greedy-centers-above-cap", "greedy-t-1e-300", "greedy-t-1e-160"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -299,17 +299,21 @@ def test_greedy_label_grid_is_the_reference_grid_with_rows_reversed():
 
 def test_greedy_label_blocks_fit_the_chunk_budget(monkeypatch):
     from mexneedlets.sphgrid import _TARGET_CHUNK_FLOATS
-    real = partition_module._greedy_label_block
+    real_rank = partition_module._greedy_rank
     sizes = []
+    label_block_calls = []
 
-    def recording(centers, t, xyz):
-        sizes.append(len(xyz) * len(centers) * 3)  # geodesic_distance's product
-        return real(centers, t, xyz)
+    def recording(dist, t):
+        sizes.append(dist.size)  # one (centers, points) block of a ring
+        return real_rank(dist, t)
 
-    monkeypatch.setattr(partition_module, "_greedy_label_block", recording)
+    monkeypatch.setattr(partition_module, "_greedy_rank", recording)
+    monkeypatch.setattr(partition_module, "_greedy_label_block",
+                        lambda *args: label_block_calls.append(args))
     part = greedy_ball_partition(0.3, candidates=2000)
     assert part.n_cells == 32 and len(sizes) > 1
-    assert max(sizes) <= _TARGET_CHUNK_FLOATS
+    assert max(sizes) <= partition_module._RING_BLOCK_FLOATS <= _TARGET_CHUNK_FLOATS
+    assert label_block_calls == []  # the all-centers block now serves only ``locate``
 
 
 def test_greedy_locate_consistent_with_labels():
@@ -335,6 +339,45 @@ def test_partition_json_schema(tmp_path):
 def test_greedy_partition_needs_a_candidate():
     with pytest.raises(ValueError, match="at least one candidate"):
         greedy_ball_partition(0.9, candidates=0)
+
+
+class _Reached(Exception):
+    pass
+
+
+def _refuse_candidates(n):
+    raise AssertionError("candidates generated before the parameters were checked")
+
+
+@pytest.mark.parametrize("t, candidates, most", [
+    (1e-3, 20001, "20001"), (0.01, 20001, "20001"), (0.01, 10 ** 6, "40000.3"),
+    (0.014142253477512877, 10 ** 6, "20000")])
+def test_greedy_center_bound_beyond_desk_scale_is_rejected_before_any_work(
+        t, candidates, most, monkeypatch):
+    monkeypatch.setattr(partition_module, "fibonacci_points", _refuse_candidates)
+    with pytest.raises(ValueError, match=r"up to %s centers at t = %r from %d candidates, beyond "
+                                         r"desk scale \(at most 20000\)" % (most, t, candidates)):
+        greedy_ball_partition(t, candidates=candidates)
+
+
+@pytest.mark.parametrize("t, candidates", [(1e-3, 20000), (0.014142253477512879, 10 ** 6),
+                                           (math.pi / 4, 10 ** 6)])
+def test_greedy_center_bound_admits_the_desk_scale_corners(t, candidates, monkeypatch):
+    # min(candidates, 1 / sin^2(t/2)) <= 2 * 10^4: the build starts
+    def reached(n):
+        raise _Reached
+
+    monkeypatch.setattr(partition_module, "fibonacci_points", reached)
+    with pytest.raises(_Reached):
+        greedy_ball_partition(t, candidates=candidates)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-300, 5e-324])
+def test_greedy_radius_too_small_for_the_measure_condition_is_rejected(t, monkeypatch):
+    monkeypatch.setattr(partition_module, "fibonacci_points", _refuse_candidates)
+    with pytest.raises(ValueError, match=r"t = %r too small: min measure / \(4t\)\^2 overflows"
+                                         % (t,)):
+        greedy_ball_partition(t, candidates=3)
 
 
 def test_greedy_candidates_beyond_desk_scale_are_rejected_before_any_work(monkeypatch):
@@ -378,8 +421,9 @@ def _random_unit_vectors(rng, n):
 
 
 @pytest.mark.parametrize("t, candidates", [
-    (math.pi / 4, 2000), (0.3, 2000), (0.9, 200), (0.9, 500), (0.05, 2000), (1.7, 2000),
-    (3.0, 50), (1e-10, 3), (1e-10, 50), (1e-3, 5), (_T_EDGE, 3)])
+    (math.pi / 4, 2000), (0.3, 2000), (0.9, 200), (0.9, 500), (0.05, 2000), (0.2, 2000),
+    (1.7, 2000), (3.0, 50), (1e-10, 3), (1e-10, 50), (1e-3, 5), (0.01, 40), (1e-3, 300),
+    (_T_EDGE, 3)])
 def test_greedy_centers_and_labels_match_the_references(t, candidates, monkeypatch):
     # a coarse label grid: the centers do not depend on it
     monkeypatch.setattr(partition_module, "product_grid", lambda n_theta, n_phi: product_grid(8, 16))
@@ -419,3 +463,44 @@ def test_greedy_radius_below_self_distance_rounding_keeps_every_candidate():
         part = greedy_ball_partition(1e-10, candidates=3)
     assert part.n_cells == 3
     assert np.array_equal(part.centers, fibonacci_points(3))
+
+
+def test_fibonacci_colatitudes_strictly_ascend():
+    # the greedy selection window [theta_i, theta_i + 2t] relies on it
+    for n in (1, 2, 3, 2000, 10 ** 6):
+        assert np.all(np.diff(np.arccos(fibonacci_points(n)[:, 2])) > 0.0)
+
+
+def test_greedy_windowed_selection_matches_the_reference(monkeypatch):
+    monkeypatch.setattr(partition_module, "product_grid", lambda n_theta, n_phi: product_grid(4, 8))
+    part = greedy_ball_partition(0.03, candidates=5000)
+    assert np.array_equal(part.centers, _ref_greedy_centers(0.03, 5000))
+
+
+_RING_LABEL_CENTERS = {
+    "663-centers": (0.05, 663, lambda: _ref_greedy_centers(0.05, 2000)),
+    # every candidate a center, none within 2t of most points: the reach doubles
+    "300-sparse-centers": (1e-3, 300, lambda: fibonacci_points(300)),
+    # two antipodal balls leave the equatorial belt uncovered
+    "antipodal": (0.3, 2, lambda: np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RING_LABEL_CENTERS))
+def test_greedy_ring_labels_match_the_label_block(case):
+    t, n_centers, make_centers = _RING_LABEL_CENTERS[case]
+    centers = make_centers()
+    assert len(centers) == n_centers
+    grid = product_grid(32, 64)
+    labels = partition_module._greedy_ring_labels(centers, t, grid)
+    assert np.array_equal(labels, _greedy_label_block(centers, t, grid.points()))
+
+
+def test_greedy_ring_labels_match_the_label_block_on_the_label_grid():
+    # the full label grid: ring points as ``points()`` forms them
+    part = greedy_ball_partition(0.3, candidates=2000)
+    points = part.label_grid.points()
+    step = 16384
+    for start in range(0, len(points), step):
+        block = _greedy_label_block(part.centers, part.t, points[start:start + step])
+        assert np.array_equal(part.labels[start:start + step], block)
