@@ -161,8 +161,8 @@ def cmd_partition(args):
     else:
         part = build_partition(args.j, args.a, args.b)
     print("cells=%d sum-measure=%.12g max-diameter=%.6g achieved-c0=%.6g"
-          % (part.n_cells, part.sum_measure(), part.max_diameter_bound(),
-             part.achieved_c0()))
+          % (part.n_cells, part.sum_measure(), part.max_diameter_bound(), part.achieved_c0())
+          + (" cover-radius=%.6g" % part.cover_radius if args.greedy else ""))
     if args.out:
         if part.n_cells > _MAX_EXPORT_CELLS:
             raise ValueError("partition too large to export (%d cells)" % part.n_cells)

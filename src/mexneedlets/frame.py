@@ -17,20 +17,25 @@ cubature weights (L_j = l_cut(j)).  At scale j a field is read only
 through degrees l <= min(L_j, field band), and S F carries degrees up to L_j.
 
 ``quadratic_form`` and ``apply_summation`` evaluate S on the whole frame and
-never form the values G_j(x_k): the grid sums mu_k G_j(x_k)^2 and
-sum_k mu_k G_j(x_k) Y(x_k) over whole rings in Fourier-order space
-(``BandGrid.energy`` and ``BandGrid.normal``: on a ring of n points order m
-meets order m' only where n divides m - m' or m + m', so a ring longer than
-L_in + L_out scales its folds by n mu / 2 and only shorter rings bin orders
-modulo n).  S over a window of scales is S of a
-sub-frame, a ``FrameSpec`` over those scales' partitions.  Point values
-enter only ``analyze`` and the elements here; S over a subset of a scale's
-points is the spatial sweep's, in ``truncation``.
+never form the values G_j(x_k): on a ring of n points order m meets order m'
+only where n divides m - m' or m + m' (``sphgrid``), so a ring longer than
+L_in + L_out couples no two orders.  Every row of a ``FrameSpec`` carries the
+same band L_max, so on first use the frame sums its rows once (``_RowStack``):
+the rows of n > 2 L_max points of all scales add up to one Gram block H_m
+per order m, and S F reads u_m^T H_m u_m and H_m u_m off the order-m cosine
+and sine coefficients u_m.  The other rows, all scales' together, form one
+short ``BandGrid`` whose tables carry each row's w_j(l), and its
+``BandGrid.energy`` and ``BandGrid.normal`` bin their orders modulo n.  A
+needlet frame's scales have different bands and about L rows each, so a
+Gram costs it as much as L forms: it takes ``energy`` and ``normal`` scale
+by scale.  S over a window of scales is S of a sub-frame, a ``FrameSpec``
+over those scales' partitions.  Point values enter only ``analyze`` and the
+elements here; S over a subset of a scale's points is the spatial sweep's,
+in ``truncation``.
 
-The energy and normal sums take a coefficient block of k fields as readily
-as one field (the grids' batch axis), so ``empirical_frame_bounds`` sends
-all its seeded trial fields through each scale's Fourier-order energy
-together.
+Both paths take a coefficient block of k fields as readily as one field
+(the grids' batch axis), so ``empirical_frame_bounds`` sends all its seeded
+trial fields through the frame together.
 """
 
 import math
@@ -42,8 +47,9 @@ from .daubechies import (_ladder_step, _ladder_walk, _span_rungs, eigen_daubechi
                          filter_axis)
 from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
-from .harmonics import (band_of_length, degree_of_index, n_coeffs, real_sh_matrix,
-                        sphere_eigenvalue)
+from . import sphgrid
+from .harmonics import (band_of_length, degree_of_index, n_coeffs, norm_assoc_legendre,
+                        order_layout, real_sh_matrix, sphere_eigenvalue)
 from .partition import ScalePartition, build_partition
 
 ADEQUACY_EPS = 1e-6
@@ -98,6 +104,7 @@ class FrameSpec:
         if not all(isinstance(part, ScalePartition) for part in self.partitions.values()):
             raise ValueError("frames need band partitions; greedy partitions are a witness only")
         self._weights = {}
+        self._stack = None
 
     @classmethod
     def build(cls, filt, a, b, L_max, j_range=None):
@@ -134,6 +141,12 @@ class FrameSpec:
 
     def coverage_limit(self):
         return self.L_max
+
+    def _row_stack(self):
+        """The per-order blocks and short grid of ``_RowStack``, built on first use."""
+        if self._stack is None:
+            self._stack = _RowStack(self)
+        return self._stack
 
     def n_cells(self, j):
         return self.partitions[j].n_cells
@@ -186,8 +199,90 @@ def frame_element(frame, j, k):
     raise ValueError("no such scale in the frame")
 
 
+class _RowStack:
+    """A ``FrameSpec``'s rows of every scale summed once: per-order blocks and one short grid.
+
+    On a row of n > 2 L_max points order m meets no other order, for any field band
+    L_in <= L_max, so the long rows of all scales add up to one block per order,
+    H_m = sum_j diag(w_j) Q_{j,m}^T diag(n mu) Q_{j,m} diag(w_j) over degrees m..L_max,
+    with Q_{j,m} the order-m columns of scale j's long-row Legendre table.  The cosine
+    and the sine coefficients u of order m take u^T H_m u and H_m u.  The short rows
+    of every scale form one ``BandGrid`` whose tables carry each row's w_j(l).
+    """
+
+    def __init__(self, frame):
+        L = self.L = frame.L_max
+        starts = order_layout(L)[0]
+        step = max(1, sphgrid._TARGET_CHUNK_FLOATS // starts[-1])  # long rows per table chunk
+        self.blocks = [np.zeros((L - m + 1, L - m + 1)) for m in range(L + 1)]
+        short = []
+        for _, grid, w in frame.terms():
+            is_long = grid.counts > 2 * L
+            short.append((grid, ~is_long, w))
+            rows = np.flatnonzero(is_long)
+            grams = [0.0] * (L + 1)
+            for lo in range(0, len(rows), step):
+                chunk = rows[lo:lo + step]
+                q = norm_assoc_legendre(L, np.cos(grid.theta[chunk]))
+                q *= np.sqrt(grid.counts[chunk] * grid.row_weight[chunk])[:, None]
+                for m in range(L + 1):
+                    b = q[:, starts[m]:starts[m + 1]]
+                    grams[m] = grams[m] + b.T @ b
+            for m, block in enumerate(self.blocks):
+                block += w[m:, None] * grams[m] * w[m:]
+
+        def stacked(name):
+            return np.concatenate([getattr(grid, name)[keep] for grid, keep, _ in short])
+
+        self.short = None
+        if any(keep.any() for _, keep, _ in short):
+            self.short = sphgrid.BandGrid(
+                stacked("theta"), stacked("phi0"), stacked("counts"), stacked("row_weight"),
+                degree_weights=np.concatenate([np.broadcast_to(w, (keep.sum(), L + 1))
+                                               for _, keep, w in short]))
+
+    def _long(self, coeffs):
+        """The long rows' part of S c at degrees <= L_max, from the blocks H_m."""
+        L_in = band_of_length(len(coeffs))
+        starts_in, _, cos_in, sin_in = order_layout(L_in)
+        starts, _, cos_out, sin_out = order_layout(self.L)
+        out = np.zeros((n_coeffs(self.L),) + coeffs.shape[1:])
+        for m in range(L_in + 1):
+            s_in, s_out = slice(starts_in[m], starts_in[m + 1]), slice(starts[m], starts[m + 1])
+            H = self.blocks[m][:, : L_in - m + 1]
+            out[cos_out[s_out]] = H @ coeffs[cos_in[s_in]]
+            if m:
+                out[sin_out[s_out]] = H @ coeffs[sin_in[s_in]]
+        return out
+
+    def forms(self, coeffs):
+        """``_forms``: sum_m u_m^T H_m u_m over the cosine and sine parts, plus the short grid."""
+        block = coeffs.reshape(len(coeffs), -1)
+        L_in = band_of_length(len(block))
+        starts, _, cos_index, sin_index = order_layout(L_in)
+        total = np.zeros(block.shape[1])
+        for m in range(L_in + 1):
+            s = slice(starts[m], starts[m + 1])
+            H = self.blocks[m][: L_in - m + 1, : L_in - m + 1]
+            for index in (cos_index[s], sin_index[s]) if m else (cos_index[s],):
+                u = block[index]
+                total += np.sum(u * (H @ u), axis=0)
+        if self.short is not None:
+            total += self.short.energy(block)
+        return float(total[0]) if coeffs.ndim == 1 else total
+
+    def summed(self, coeffs):
+        """``_summed``: H_m u_m per order and part, plus the short grid's ``normal``."""
+        out = self._long(coeffs)
+        if self.short is not None:
+            out += self.short.normal(coeffs, self.L)
+        return out
+
+
 def _forms(frame, coeffs):
     """<S F, F> of a coefficient vector, or of each column of a block of fields."""
+    if isinstance(frame, FrameSpec):
+        return frame._row_stack().forms(coeffs)
     return sum(grid.energy(_weighted(w, coeffs)) for _, grid, w in frame.terms())
 
 
@@ -198,6 +293,8 @@ def quadratic_form(frame, field):
 
 def _summed(frame, coeffs):
     """S F of a coefficient vector, or of each column of a block of fields."""
+    if isinstance(frame, FrameSpec):
+        return frame._row_stack().summed(coeffs)
     out = np.zeros((n_coeffs(_band_limit(frame)),) + coeffs.shape[1:])
     for _, grid, w in frame.terms():
         L = len(w) - 1

@@ -220,8 +220,10 @@ def greedy_ball_partition(t, candidates=2000):
     Follows the recursive construction: E_1 = B'_1 minus the other inner
     balls, then E_k = B'_k minus earlier cells and later inner balls, with
     B'_k = B(y_k, 2t).  Every point of an inner ball keeps its own label,
-    every other point joins the first enlarged ball that reaches it, so
-    B(y_k, t) <= E_k <= B(y_k, 2t).  Cells are label maps on a
+    every other point joins the first enlarged ball that reaches it, and a
+    point that none reaches (the selection is maximal over the candidates
+    only) joins its nearest center, so B(y_k, t) <= E_k <= B(y_k, max(2t, R))
+    with R the centers' ``covering_radius``.  Cells are label maps on a
     Gauss-Legendre x longitude grid; measures are grid-quadrature sums, so
     they total exactly 4 pi while individual cells carry grid error.
 
@@ -269,7 +271,23 @@ def greedy_ball_partition(t, candidates=2000):
     label_grid = product_grid(GREEDY_GRID_THETA, 2 * GREEDY_GRID_THETA)
     labels = _greedy_ring_labels(centers, t, label_grid)
     measures = np.bincount(labels, weights=label_grid.point_weights(), minlength=len(centers))
-    return GreedyPartition(t, centers, measures, label_grid, labels)
+    return GreedyPartition(t, centers, measures, label_grid, labels, covering_radius(centers))
+
+
+def covering_radius(centers):
+    """max over the sphere of the distance to the nearest center, pi for fewer than 4 centers.
+
+    The farthest points from a set of centers are vertices of its spherical Voronoi
+    diagram, each equidistant from the centers of the regions that meet there.
+    """
+    if len(centers) < 4:
+        return math.pi
+    from scipy.spatial import SphericalVoronoi  # imported here to keep the cli import light
+
+    voronoi = SphericalVoronoi(centers)
+    owner = np.repeat(np.arange(len(centers)), [len(r) for r in voronoi.regions])
+    vertices = voronoi.vertices[np.concatenate(voronoi.regions)]
+    return float(np.max(geodesic_distance(vertices, centers[owner])))
 
 
 def _greedy_distance(x, y, z, c):
@@ -369,20 +387,24 @@ class GreedyPartition(_CellSummaries):
     """Greedy maximal-ball cells: ball centers plus labels on a quadrature grid.
 
     A geometric witness only: it belongs to no scale (``j``, ``a``, ``b``
-    are None), has no sampling grid, and ``FrameSpec`` rejects it.  Every
-    cell lies in B(y_k, 2t), so each diameter is bounded by min(4t, pi).
+    are None), has no sampling grid, and ``FrameSpec`` rejects it.  A point
+    joins an inner or a doubled ball, within 2t of its center, or else its
+    nearest center, within the centers' covering radius R: every cell lies in
+    B(y_k, max(2t, R)), so each diameter is bounded by min(2 max(2t, R), pi).
+    The paper's B(y_k, t) <= E_k <= B(y_k, 2t) holds exactly when R <= 2t.
     """
 
     j = a = b = None
 
-    def __init__(self, t, centers, cell_measures, label_grid, labels):
+    def __init__(self, t, centers, cell_measures, label_grid, labels, cover_radius):
         self.t = t
         self.centers = centers
         self.cell_measures = cell_measures
         self.label_grid = label_grid
         self.labels = labels
         self.n_cells = len(centers)
-        self.target = min(4.0 * t, math.pi)
+        self.cover_radius = cover_radius
+        self.target = min(2.0 * max(2.0 * t, cover_radius), math.pi)
 
     def measures(self):
         return self.cell_measures.copy()
@@ -414,6 +436,8 @@ def partition_to_json(partition, path=None):
             for c, m, dd in zip(centers, measures, diams)
         ],
     }
+    if isinstance(partition, GreedyPartition):
+        doc["cover_radius"] = partition.cover_radius
     if path is not None:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)

@@ -27,6 +27,10 @@ arrays that the scaling and the binning take whole, so k fields cost
 little more than one.  Columns are taken in chunks whose order arrays stay
 within the chunk budget.
 
+A grid may carry a degree weight per row, folded into its Legendre tables,
+so that rows sampled for different filter multipliers w_j(l) share one
+grid: the short rows of every scale of a partition frame do.
+
 A weight d_k per point, as when a mask drops some of a row's points, needs
 no point values either.  For row values v_k = Re sum_m' C_m' e^{2 pi i m' k / n}
 and D(q) = sum_k d_k e^{2 pi i q k / n},
@@ -45,7 +49,8 @@ import math
 
 import numpy as np
 
-from .harmonics import band_of_length, n_coeffs, norm_assoc_legendre, order_layout, sph_to_xyz
+from .harmonics import (band_of_length, degree_of_index, n_coeffs, norm_assoc_legendre,
+                        order_layout, sph_to_xyz)
 
 _TARGET_CHUNK_FLOATS = 3_000_000
 
@@ -55,10 +60,13 @@ class BandGrid:
 
     theta, phi0, counts are per-row arrays; row ``i`` holds the n = counts[i]
     points (theta[i], phi0[i] + k*dphi[i]) for 0 <= k < n, dphi = 2 pi / n.
-    The per-row quadrature weight applies to every point of the row.
+    The per-row quadrature weight applies to every point of the row.  Optional
+    ``degree_weights`` of shape (rows, L + 1) scale row i's Legendre table by
+    degree_weights[i, l] at every order, so the transforms of c read
+    sum_{l,q} degree_weights[i, l] c_{l,q} Y_{l,q} on row i; tables reach degree L.
     """
 
-    def __init__(self, theta, phi0, counts, row_weight):
+    def __init__(self, theta, phi0, counts, row_weight, degree_weights=None):
         self.theta = np.asarray(theta, dtype=float)
         self.phi0 = np.asarray(phi0, dtype=float)
         self.counts = np.asarray(counts, dtype=np.int64)
@@ -67,13 +75,17 @@ class BandGrid:
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         self.n_points = int(self.offsets[-1])
         self.n_rows = len(self.theta)
+        self.degree_weights = degree_weights
         self._plm_cache = {}
 
     # -- cached tables -------------------------------------------------
 
     def _plm(self, L):
         if L not in self._plm_cache:
-            self._plm_cache[L] = norm_assoc_legendre(L, np.cos(self.theta))
+            plm = norm_assoc_legendre(L, np.cos(self.theta))
+            if self.degree_weights is not None:
+                plm *= self.degree_weights[:, degree_of_index(L)[order_layout(L)[2]]]
+            self._plm_cache[L] = plm
         return self._plm_cache[L]
 
     # -- helpers ---------------------------------------------------------

@@ -34,7 +34,11 @@ _ROW_MARGIN = 1e-12
 
 
 def moment_constant(filt, J):
-    """M_J = max_{r>0} |r^J f(r)| by log-grid bracketing plus refinement."""
+    """M_J = max_{r>0} |r^J f(r)| by log-grid bracketing plus refinement.
+
+    The bracket is the grid argmax of J log r + log |f(r)|, which stays finite
+    where r^J alone would overflow on the grid, far from the peak.
+    """
     from scipy.optimize import minimize_scalar
 
     if J < 1 or int(J) != J:
@@ -44,13 +48,14 @@ def moment_constant(filt, J):
         grid = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 4001))
     else:
         grid = np.linspace(lo, hi, 4001)[1:-1]
-    vals = grid ** J * np.abs(filt(grid))
-    i = int(np.argmax(vals))
+    with np.errstate(divide="ignore"):  # log 0 = -inf where f vanishes or underflows
+        i = int(np.argmax(J * np.log(grid) + np.log(np.abs(filt(grid)))))
+    peak = grid[i:i + 1] ** J * np.abs(filt(grid[i:i + 1]))
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, len(grid) - 1)]
     res = minimize_scalar(lambda s: -(s ** J) * abs(filt(s)), bounds=(left, right),
                           method="bounded", options={"xatol": 1e-12 * right})
-    return max(float(vals[i]), float(-res.fun))
+    return max(float(peak[0]), float(-res.fun))
 
 
 @dataclass

@@ -250,7 +250,7 @@ def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     ["daubechies", "--a", "1e308"],
     ["frame-verify", "--a", "1e300", "--j-min", "0", "--j-max", "0"],
     ["truncation", "--J", "200"],
-    # M_J fits a float here, but r^J on the moment search grid does not
+    # M_J fits a float here, but the prefactor C'_J takes M_J^2
     ["truncation", "--J", "100"],
     ["truncation", "--L", "1e300"],
     ["spatial", "--c", "1e-300"],
@@ -261,6 +261,12 @@ def test_finite_parameter_that_overflows_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a parameter value overflowed the float range\n"
+
+
+def test_truncation_reports_a_moment_order_whose_powers_overflow_off_the_peak(capsys):
+    # r^78 overflows on the moment search grid, but M_78 = 79^79 e^-79 fits a float
+    assert run(["truncation", "--J", "78"]) == 0
+    assert "bound_without_C0b:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option, value", [("--c", "0"), ("--i-decay", "1"),
@@ -392,6 +398,13 @@ def test_config_values_get_the_parser_checks(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument %s: invalid choice" % option in captured.err
+
+
+def test_greedy_partition_reports_its_cover_radius(capsys):
+    # the README command: every value as before the cover radius, which is below 2t here
+    assert run(["partition", "--greedy", "--t", "0.7853981633974483"]) == 0
+    assert capsys.readouterr().out == ("cells=4 sum-measure=12.5663706144 max-diameter=3.14159 "
+                                       "achieved-c0=0.263911 cover-radius=1.56304\n")
 
 
 def test_config_flag_option_matches_the_flag(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mexneedlets import frame as frame_module
 from mexneedlets import sphgrid
 from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          apply_summation, build_needlet_frame, build_partition,
@@ -11,8 +12,9 @@ from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
                          quadratic_form, rayleigh_quotient)
 from mexneedlets.errors import BandLimitError, ZeroFieldError
 from mexneedlets.daubechies import eigen_daubechies_sum
-from mexneedlets.frame import ADEQUACY_EPS, _forms, _summed
-from mexneedlets.harmonics import degree_of_index, n_coeffs, sphere_eigenvalue
+from mexneedlets.frame import ADEQUACY_EPS, _forms, _summed, _weighted
+from mexneedlets.harmonics import (degree_of_index, n_coeffs, norm_assoc_legendre,
+                                   sphere_eigenvalue)
 from mexneedlets.sphgrid import BandGrid
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -199,6 +201,8 @@ def test_block_form_and_summation_match_single_fields(spec, frame_kind, chunked,
     frame = spec if frame_kind == "spec" else _needlet_frame()
     if chunked:
         _two_column_budget(monkeypatch, frame)
+        if frame_kind == "spec":
+            frame = sub_frame(spec, spec.scales)  # its row stack is built within the budget
     rng = np.random.default_rng(11)
     fields = [HarmonicField.random_mean_zero(frame.coverage_limit(), rng) for _ in range(5)]
     block = np.stack([F.coeffs for F in fields], axis=1)
@@ -380,3 +384,116 @@ def test_default_scale_window_near_a_one_walks_few_cells():
     filt = CountingFilter(MEX1)
     assert default_scale_window(filt, 1.02, 32) == reference_scale_window(MEX1, 1.02, 32)
     assert filt.cells < 60_000
+
+
+# -- the row stack of a FrameSpec ----------------------------------------------
+
+
+def _per_scale_forms(frame, coeffs):
+    """<S F, F> as every frame took it before the row stack: one grid energy per scale."""
+    return sum(grid.energy(_weighted(w, coeffs)) for _, grid, w in frame.terms())
+
+
+def _per_scale_summed(frame, coeffs):
+    """S F as every frame took it before the row stack: one grid normal per scale."""
+    L = max(len(w) for _, _, w in frame.terms()) - 1
+    out = np.zeros((n_coeffs(L),) + coeffs.shape[1:])
+    for _, grid, w in frame.terms():
+        L_j = len(w) - 1
+        out[: n_coeffs(L_j)] += _weighted(w, grid.normal(_weighted(w, coeffs), L_j))
+    return out
+
+
+@pytest.fixture(scope="module")
+def readme_frame():
+    """The frame of the README ``frame-verify`` command (L = 16, 1,113,422 cells)."""
+    return FrameSpec.build(MEX1, 1.2599, 0.5, L_max=16, j_range=(-18, 4))
+
+
+@pytest.fixture(scope="module")
+def stack_frames(spec, readme_frame):
+    coarse = sub_frame(spec, [1, 2])
+    assert all(np.all(g.counts <= 2 * spec.L_max) for _, g, _ in coarse.terms())
+    # rows of exactly 2 L_max = 8 points, where orders m = m' = L_max alias, at scales whose
+    # w_j(L_max) is not negligible: the long-row test must leave them to the short grid
+    boundary = FrameSpec.build(MEX1, A13, 1.0, L_max=4, j_range=(-6, -4))
+    assert all(np.any(g.counts == 8) for _, g, _ in boundary.terms())
+    return {"spec": spec, "sub-frame": sub_frame(spec, [-7, -4, -3, 0]),
+            "all-short": coarse, "boundary": boundary, "readme": readme_frame}
+
+
+def _column_rel_err(got, ref):
+    return np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+
+
+@pytest.mark.parametrize("name", ["spec", "sub-frame", "all-short", "boundary", "readme"])
+@pytest.mark.parametrize("band_drop", [0, 3])
+@pytest.mark.parametrize("columns", [None, 7])
+def test_row_stack_matches_the_per_scale_sums(stack_frames, name, band_drop, columns):
+    frame = stack_frames[name]
+    rng = np.random.default_rng(31)
+    L = frame.L_max - band_drop
+    fields = [HarmonicField.random_mean_zero(L, rng).coeffs for _ in range(columns or 1)]
+    coeffs = np.stack(fields, axis=1) if columns else fields[0]
+    forms, ref_forms = _forms(frame, coeffs), _per_scale_forms(frame, coeffs)
+    summed, ref_summed = _summed(frame, coeffs), _per_scale_summed(frame, coeffs)
+    assert np.shape(forms) == np.shape(ref_forms) and summed.shape == ref_summed.shape
+    assert np.all(np.abs(forms - ref_forms) <= 1e-13 * np.abs(ref_forms))
+    assert np.all(_column_rel_err(summed.reshape(len(summed), -1),
+                                  ref_summed.reshape(len(summed), -1)) <= 1e-13)
+    if name == "all-short":
+        assert not any(block.any() for block in frame._row_stack().blocks)
+
+
+@pytest.mark.parametrize("name", ["spec", "sub-frame", "all-short", "boundary", "readme"])
+def test_row_stack_summation_is_self_adjoint_and_mean_zero(stack_frames, name):
+    frame = stack_frames[name]
+    rng = np.random.default_rng(32)
+    F, G = (np.stack([HarmonicField.random_mean_zero(frame.L_max, rng).coeffs
+                      for _ in range(7)], axis=1) for _ in range(2))
+    SF, SG = _summed(frame, F), _summed(frame, G)
+    lhs, rhs = SF.T @ G, F.T @ SG
+    assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()
+    assert np.all(SF[0] == 0.0)
+    assert apply_summation(frame, HarmonicField(F[:, 0])).coeffs[0] == 0.0
+
+
+def test_exact_summation_operator_of_the_spatial_frame():
+    # the spatial command's frame; its exact upper bound B is 0.557831, where
+    # 20 sampled Rayleigh quotients give 0.536752
+    spatial = FrameSpec.build(MEX1, A13, 0.4, L_max=8, j_range=(-13, 2))
+    S = _summed(spatial, np.eye(n_coeffs(8)))
+    assert np.abs(S - S.T).max() <= 1e-14 * np.abs(S).max()
+    assert np.all(S[0] == 0.0) and np.all(S[:, 0] == 0.0)
+    assert abs(np.linalg.eigvalsh(S).max() - 0.557831) <= 1e-6
+
+
+def test_needlet_forms_and_sums_are_the_per_scale_sums():
+    frame = _needlet_frame()
+    rng = np.random.default_rng(33)
+    L = max(s.l_cut for s in frame.scales)
+    for coeffs in (HarmonicField.random_mean_zero(L, rng).coeffs,
+                   np.stack([HarmonicField.random_mean_zero(L - 3, rng).coeffs
+                             for _ in range(7)], axis=1)):
+        assert np.array_equal(_forms(frame, coeffs), _per_scale_forms(frame, coeffs))
+        assert np.array_equal(_summed(frame, coeffs), _per_scale_summed(frame, coeffs))
+
+
+def test_row_stack_takes_long_rows_in_chunks_within_the_budget(spec, field, monkeypatch):
+    tables = []
+
+    def recording(L, cos_theta):
+        table = norm_assoc_legendre(L, cos_theta)
+        tables.append(table.size)
+        return table
+
+    frame = sub_frame(spec, spec.scales)
+    _two_column_budget(monkeypatch, frame)
+    monkeypatch.setattr(frame_module, "norm_assoc_legendre", recording)
+    form, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
+    long_scales = sum(bool(np.any(g.counts > 2 * frame.L_max)) for _, g, _ in frame.terms())
+    assert len(tables) > long_scales  # some scale took its long rows in more than one chunk
+    assert max(tables) <= sphgrid._TARGET_CHUNK_FLOATS
+    assert form == pytest.approx(_per_scale_forms(spec, field.coeffs), rel=1e-13)
+    ref = _per_scale_summed(spec, field.coeffs)
+    assert np.linalg.norm(SF - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -10,7 +10,8 @@ from mexneedlets import partition as partition_module
 from mexneedlets.errors import CellCountOverflowError
 from mexneedlets.cubature import product_grid
 from mexneedlets.partition import (MEASURE_CONDITION_DELTA0, PHI_FRACTION, THETA_FRACTION,
-                                   _greedy_label_block, fibonacci_points)
+                                   _greedy_distance, _greedy_label_block, covering_radius,
+                                   fibonacci_points)
 from mexneedlets.harmonics import geodesic_distance, sph_to_xyz
 
 A13 = 2.0 ** (1.0 / 3.0)
@@ -504,3 +505,56 @@ def test_greedy_ring_labels_match_the_label_block_on_the_label_grid():
     for start in range(0, len(points), step):
         block = _greedy_label_block(part.centers, part.t, points[start:start + step])
         assert np.array_equal(part.labels[start:start + step], block)
+
+
+# -- the greedy witness's diameter bound ---------------------------------------
+
+
+def _label_reach(part):
+    """Per label-grid point, the distance to the center of its cell."""
+    x, y, z = np.ascontiguousarray(part.label_grid.points().T)
+    return _greedy_distance(x, y, z, part.centers[part.labels].T)
+
+
+@pytest.mark.parametrize("t, candidates", [(0.05, 2000), (0.01, 2000), (0.01, 40)])
+def test_greedy_diameter_bound_covers_every_cell(t, candidates):
+    part = greedy_ball_partition(t, candidates=candidates)
+    bound = part.diameter_bounds()
+    assert part.max_diameter_bound() == min(2 * max(2 * t, part.cover_radius), math.pi)
+    assert part.achieved_c0() == np.min(part.measures()) / part.max_diameter_bound() ** 2
+    reach = _label_reach(part)
+    far = np.zeros(part.n_cells)
+    np.maximum.at(far, part.labels, reach)
+    # every grid point of a cell lies within bound / 2 of its center, so the bound
+    # is at least the distance between any two of the cell's grid points
+    assert np.all(2.0 * far <= bound)
+    # an actual pair of grid points in each of the 40 farthest-reaching cells: the
+    # farthest from the center, and the cell's point farthest from that one
+    points = part.label_grid.points()
+    spans = []
+    for k in np.argsort(far)[::-1][:40]:
+        members = np.flatnonzero(part.labels == k)
+        p = points[members[np.argmax(reach[members])]]
+        spans.append(float(np.max(geodesic_distance(points[members], p))))
+    assert max(spans) <= part.max_diameter_bound()
+    assert max(spans) > 4.0 * t  # some cell reaches past B(y_k, 2t)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.05])
+def test_covering_radius_is_the_farthest_nearest_center_distance(t):
+    centers = greedy_ball_partition(t, candidates=2000).centers
+    R = covering_radius(centers)
+    grid = product_grid(128, 256)
+    nearest = np.concatenate([geodesic_distance(xyz[:, None, :], centers[None, :, :]).min(axis=1)
+                              for _, xyz in grid.block_iter()])
+    spacing = 2.0 * math.pi / 256  # the largest grid step, in longitude at the equator
+    assert nearest.max() <= R * (1 + 1e-12)
+    assert R - nearest.max() <= spacing
+
+
+def test_covering_radius_of_fewer_than_four_centers_is_pi():
+    assert covering_radius(fibonacci_points(3)) == math.pi
+    part = greedy_ball_partition(1e-10, candidates=3)
+    assert part.cover_radius == math.pi and part.max_diameter_bound() == math.pi
+    assert partition_to_json(part)["cover_radius"] == math.pi
+    assert "cover_radius" not in partition_to_json(build_partition(2, A13, 1.0))

@@ -40,6 +40,14 @@ def test_moment_constant_closed_forms():
     assert moment_constant(mex2, 2) == pytest.approx(4.0 ** 4 * math.exp(-4.0), rel=1e-8)
 
 
+def test_moment_constant_where_the_grid_powers_overflow():
+    # r^78 overflows a float on the grid far beyond the peak at r = 79; the peak itself fits
+    J = 78
+    closed = math.exp((J + 1) * math.log(J + 1) - (J + 1))
+    with np.errstate(over="raise"):
+        assert moment_constant(MEX1, J) == pytest.approx(closed, rel=1e-12)
+
+
 def test_moment_constant_cutoff_support():
     got = moment_constant(CUT, 3)
     s = np.linspace(0.5, 2.0, 20001)
