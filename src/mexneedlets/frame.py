@@ -22,10 +22,12 @@ only where n divides m - m' or m + m' (``sphgrid``), so a ring longer than
 L_in + L_out couples no two orders.  Every row of a ``FrameSpec`` carries the
 same band L_max, so on first use the frame sums its rows once (``_RowStack``):
 the rows of n > 2 L_max points of all scales add up to one Gram block H_m
-per order m, and S F reads u_m^T H_m u_m and H_m u_m off the order-m cosine
-and sine coefficients u_m.  The other rows, all scales' together, form one
-short ``BandGrid`` whose tables carry each row's w_j(l), and its
-``BandGrid.energy`` and ``BandGrid.normal`` bin their orders modulo n.  A
+per order m, built from one order-by-order Legendre recurrence over the stacked
+long rows (no whole Legendre table is formed), and S F reads u_m^T H_m u_m and
+H_m u_m off the order-m cosine and sine coefficients u_m.  The other rows, all
+scales' together, form one short ``BandGrid`` whose tables carry each row's
+w_j(l), and its ``BandGrid.energy`` and ``BandGrid.normal`` bin their orders
+modulo n.  A
 needlet frame's scales have different bands and about L rows each, so a
 Gram costs it as much as L forms: it takes ``energy`` and ``normal`` scale
 by scale.  S over a window of scales is S of a sub-frame, a ``FrameSpec``
@@ -48,7 +50,7 @@ from .daubechies import (_ladder_step, _ladder_walk, _span_rungs, eigen_daubechi
 from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
 from . import sphgrid
-from .harmonics import (band_of_length, degree_of_index, n_coeffs, norm_assoc_legendre,
+from .harmonics import (band_of_length, degree_of_index, legendre_orders, n_coeffs,
                         order_layout, real_sh_matrix, sphere_eigenvalue)
 from .partition import ScalePartition, build_partition
 
@@ -204,32 +206,37 @@ class _RowStack:
 
     On a row of n > 2 L_max points order m meets no other order, for any field band
     L_in <= L_max, so the long rows of all scales add up to one block per order,
-    H_m = sum_j diag(w_j) Q_{j,m}^T diag(n mu) Q_{j,m} diag(w_j) over degrees m..L_max,
-    with Q_{j,m} the order-m columns of scale j's long-row Legendre table.  The cosine
-    and the sine coefficients u of order m take u^T H_m u and H_m u.  The short rows
-    of every scale form one ``BandGrid`` whose tables carry each row's w_j(l).
+    H_m = sum_rows n mu diag(w_j) p_m p_m^T diag(w_j), with p_m the row's values
+    N_{l,m} P_l^m(cos theta) at degrees l = m..L_max and w_j its scale's weights.  The
+    long rows of every scale are stacked, and for each order m ``legendre_orders`` gives
+    their (L_max - m + 1, rows) table, which is scaled in place by w_j(l) sqrt(n mu)
+    and enters H_m as one product with its transpose.  Rows are taken in chunks so that
+    no order table or weight array exceeds the work budget; no whole Legendre table is
+    formed.  The cosine and the sine coefficients u of order m take u^T H_m u and
+    H_m u.  The short rows of every scale form one ``BandGrid`` whose tables carry each
+    row's w_j(l).
     """
 
     def __init__(self, frame):
         L = self.L = frame.L_max
-        starts = order_layout(L)[0]
-        step = max(1, sphgrid._TARGET_CHUNK_FLOATS // starts[-1])  # long rows per table chunk
-        self.blocks = [np.zeros((L - m + 1, L - m + 1)) for m in range(L + 1)]
-        short = []
-        for _, grid, w in frame.terms():
+        short, cos_theta, root, scale = [], [], [], []
+        for i, (_, grid, w) in enumerate(frame.terms()):
             is_long = grid.counts > 2 * L
             short.append((grid, ~is_long, w))
-            rows = np.flatnonzero(is_long)
-            grams = [0.0] * (L + 1)
-            for lo in range(0, len(rows), step):
-                chunk = rows[lo:lo + step]
-                q = norm_assoc_legendre(L, np.cos(grid.theta[chunk]))
-                q *= np.sqrt(grid.counts[chunk] * grid.row_weight[chunk])[:, None]
-                for m in range(L + 1):
-                    b = q[:, starts[m]:starts[m + 1]]
-                    grams[m] = grams[m] + b.T @ b
-            for m, block in enumerate(self.blocks):
-                block += w[m:, None] * grams[m] * w[m:]
+            cos_theta.append(np.cos(grid.theta[is_long]))
+            root.append(np.sqrt(grid.counts[is_long] * grid.row_weight[is_long]))
+            scale.append(np.full(np.count_nonzero(is_long), i))
+        cos_theta, root, scale = (np.concatenate(v) for v in (cos_theta, root, scale))
+        degree_weights = np.stack([w for _, _, w in short], axis=1)  # (L + 1, scales)
+        step = max(1, sphgrid._TARGET_CHUNK_FLOATS // (L + 1))  # long rows per order table
+        self.blocks = [np.zeros((L - m + 1, L - m + 1)) for m in range(L + 1)]
+        for lo in range(0, len(cos_theta), step):
+            chunk = slice(lo, lo + step)
+            weight = degree_weights[:, scale[chunk]]  # w_j(l) sqrt(n mu) of each row
+            weight *= root[chunk]
+            for m, q in legendre_orders(L, cos_theta[chunk]):
+                q *= weight[m:]
+                self.blocks[m] += q @ q.T
 
         def stacked(name):
             return np.concatenate([getattr(grid, name)[keep] for grid, keep, _ in short])

@@ -74,6 +74,31 @@ def order_layout(L):
     return (tuple(starts.tolist()), *pairs)
 
 
+@functools.lru_cache(maxsize=16)
+def _recurrence_factors(L):
+    """Seeds and three-term factors of the normalized Legendre recurrence at band L.
+
+    Returns (seed, first, alpha, beta).  The order-m seed is
+    N_{m,m} P_m^m = N_{m-1,m-1} P_{m-1}^{m-1} sin(theta) seed[m], the first step
+    N_{m+1,m} P_{m+1}^m = first[m] cos(theta) N_{m,m} P_m^m, and for l >= m + 2
+    N_{l,m} P_l^m = alpha (cos(theta) N_{l-1,m} P_{l-1}^m - beta N_{l-2,m} P_{l-2}^m),
+    with alpha and beta of (l, m) at its ``order_layout(L)`` column (0 where l < m + 2).
+    """
+    starts, m = order_layout(L)[:2]
+    l = m + np.arange(starts[-1]) - np.asarray(starts)[m]
+    step = l >= m + 2
+    lf, mf = l[step], m[step]
+    alpha, beta = np.zeros(starts[-1]), np.zeros(starts[-1])
+    alpha[step] = np.sqrt((4.0 * lf * lf - 1.0) / (lf * lf - mf * mf))
+    beta[step] = np.sqrt(((lf - 1.0) ** 2 - mf * mf) / (4.0 * (lf - 1.0) ** 2 - 1.0))
+    orders = np.arange(1, L + 1)
+    seed = np.concatenate(([0.0], np.sqrt((2 * orders + 1) / (2.0 * orders))))
+    first = np.sqrt(2 * np.arange(L + 1) + 3.0)
+    for factors in (seed, first, alpha, beta):
+        factors.flags.writeable = False
+    return seed, first, alpha, beta
+
+
 def norm_assoc_legendre(L, cos_theta):
     """Table of 4pi-normalized associated Legendre values.
 
@@ -87,22 +112,55 @@ def norm_assoc_legendre(L, cos_theta):
     at cos theta = 0.9999, m = 381 at 0.99); scipy returns 0 there too.
     """
     starts = np.array(order_layout(L)[0])
+    seed, first, alpha, beta = _recurrence_factors(L)
     ct = np.atleast_1d(np.asarray(cos_theta, dtype=float))
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, 1.0))
     table = np.zeros((ct.shape[0], starts[-1]), order="F")
     table[:, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, L + 1):
-        table[:, starts[m]] = table[:, starts[m - 1]] * st * math.sqrt((2 * m + 1) / (2.0 * m))
+        table[:, starts[m]] = table[:, starts[m - 1]] * st * seed[m]
     for m in range(0, L):
-        table[:, starts[m] + 1] = math.sqrt(2 * m + 3.0) * ct * table[:, starts[m]]
+        table[:, starts[m] + 1] = first[m] * ct * table[:, starts[m]]
     ct = ct[:, None]
     for l in range(2, L + 1):
-        m = np.arange(l - 1)  # every order m <= l - 2 in one step
-        at = starts[:l - 1] + l - m  # column (l, m)
-        alm = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        blm = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        table[:, at] = alm * (ct * table[:, at - 1] - blm * table[:, at - 2])
+        at = starts[:l - 1] + l - np.arange(l - 1)  # column (l, m) of every order m <= l - 2
+        table[:, at] = alpha[at] * (ct * table[:, at - 1] - beta[at] * table[:, at - 2])
     return table
+
+
+def legendre_orders(L, cos_theta):
+    """Yield (m, Q_m) for m = 0..L, Q_m[l - m] = N_{l,m} P_l^m(cos theta) for l = m..L.
+
+    Q_m is ``norm_assoc_legendre(L, cos_theta)[:, starts[m]:starts[m + 1]].T``,
+    bit for bit: the same seeds and factors in the same order of operations,
+    run order by order over every point at once.  No whole table is formed: one
+    (L + 1, npts) buffer holds each order in turn, so Q_m is overwritten when
+    the next order is taken, and the caller may scale it in place.  Where a table
+    has few points the degree-vectorized ``norm_assoc_legendre`` is faster.
+    """
+    seed, first, alpha, beta = _recurrence_factors(L)
+    starts = order_layout(L)[0]
+    ct = np.atleast_1d(np.asarray(cos_theta, dtype=float))
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, 1.0))
+    pmm = np.full(ct.shape, math.sqrt(1.0 / (4.0 * math.pi)))
+    buffer = np.empty((L + 1, ct.size))
+    tmp = np.empty(ct.size)
+    for m in range(L + 1):
+        if m:
+            pmm *= st
+            pmm *= seed[m]
+        q = buffer[: L - m + 1]
+        q[0] = pmm
+        if m < L:
+            np.multiply(first[m], ct, out=q[1])
+            q[1] *= pmm
+        for k in range(2, L - m + 1):
+            at = starts[m] + k
+            np.multiply(ct, q[k - 1], out=q[k])
+            np.multiply(beta[at], q[k - 2], out=tmp)
+            q[k] -= tmp
+            q[k] *= alpha[at]
+        yield m, q
 
 
 def real_sh_matrix(L, xyz):
@@ -129,6 +187,10 @@ def sph_to_xyz(theta, phi):
 
 
 def geodesic_distance(x, y):
-    """Great-circle distance between unit vectors (broadcasting on the left)."""
-    dot = np.clip(np.sum(np.asarray(x) * np.asarray(y), axis=-1), -1.0, 1.0)
-    return np.arccos(dot)
+    """Great-circle distance between unit vectors (broadcasting on the left).
+
+    atan2(|x cross y|, x . y) is exact to rounding everywhere; arccos of the dot
+    product loses about 1e-9 rad within 1e-7 rad of y or of its antipode.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.arctan2(np.linalg.norm(np.cross(x, y), axis=-1), np.sum(x * y, axis=-1))

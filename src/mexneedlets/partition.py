@@ -291,9 +291,11 @@ def covering_radius(centers):
 
 
 def _greedy_distance(x, y, z, c):
-    """``geodesic_distance`` from points given as coordinate columns to c, summed in its order.
+    """arccos of the dot product of points given as coordinate columns with c: greedy's distance.
 
     c[0], c[1], c[2] are a center's coordinates or (centers, 1) columns of them.
+    Selection, ring labels and ``_greedy_label_block`` all take this one form,
+    so that labels at ties agree among them.
     """
     dot = (x * c[0] + y * c[1]) + z * c[2]
     return np.arccos(np.clip(dot, -1.0, 1.0, out=dot), out=dot)
@@ -306,8 +308,8 @@ def _greedy_rank(dist, t):
 
 def _greedy_label_block(centers, t, xyz):
     """Per point: the first inner ball, else the first doubled ball, else the nearest center."""
-    return np.argmin(_greedy_rank(geodesic_distance(xyz[:, None, :], centers[None, :, :]), t),
-                     axis=1)
+    x, y, z = xyz.T[:, :, None]  # (points, 1) coordinate columns
+    return np.argmin(_greedy_rank(_greedy_distance(x, y, z, centers.T), t), axis=1)
 
 
 def _greedy_ring_labels(centers, t, grid):

@@ -13,7 +13,7 @@ from mexneedlets import (FrameSpec, HarmonicField, SpectralFilter, analyze,
 from mexneedlets.errors import BandLimitError, ZeroFieldError
 from mexneedlets.daubechies import eigen_daubechies_sum
 from mexneedlets.frame import ADEQUACY_EPS, _forms, _summed, _weighted
-from mexneedlets.harmonics import (degree_of_index, n_coeffs, norm_assoc_legendre,
+from mexneedlets.harmonics import (degree_of_index, legendre_orders, n_coeffs,
                                    sphere_eigenvalue)
 from mexneedlets.sphgrid import BandGrid
 
@@ -480,20 +480,23 @@ def test_needlet_forms_and_sums_are_the_per_scale_sums():
 
 
 def test_row_stack_takes_long_rows_in_chunks_within_the_budget(spec, field, monkeypatch):
-    tables = []
+    chunks, arrays = [], []
 
     def recording(L, cos_theta):
-        table = norm_assoc_legendre(L, cos_theta)
-        tables.append(table.size)
-        return table
+        chunks.append(cos_theta.size)
+        arrays.append((L + 1) * cos_theta.size)  # the chunk's (L + 1, rows) row weights
+        for m, q in legendre_orders(L, cos_theta):
+            arrays.append(q.size)
+            yield m, q
 
     frame = sub_frame(spec, spec.scales)
-    _two_column_budget(monkeypatch, frame)
-    monkeypatch.setattr(frame_module, "norm_assoc_legendre", recording)
+    long_rows = sum(int(np.sum(g.counts > 2 * frame.L_max)) for _, g, _ in frame.terms())
+    # a third of the stacked long rows per chunk
+    monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", (frame.L_max + 1) * (long_rows // 3))
+    monkeypatch.setattr(frame_module, "legendre_orders", recording)
     form, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
-    long_scales = sum(bool(np.any(g.counts > 2 * frame.L_max)) for _, g, _ in frame.terms())
-    assert len(tables) > long_scales  # some scale took its long rows in more than one chunk
-    assert max(tables) <= sphgrid._TARGET_CHUNK_FLOATS
+    assert len(chunks) > 1 and sum(chunks) == long_rows
+    assert max(arrays) <= sphgrid._TARGET_CHUNK_FLOATS
     assert form == pytest.approx(_per_scale_forms(spec, field.coeffs), rel=1e-13)
     ref = _per_scale_summed(spec, field.coeffs)
     assert np.linalg.norm(SF - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import eval_legendre
 
 from mexneedlets import multiplicity, real_sh_matrix, sphere_eigenvalue
-from mexneedlets.harmonics import (geodesic_distance, n_coeffs, norm_assoc_legendre, order_layout,
-                                   sh_index, sph_to_xyz)
+from mexneedlets.harmonics import (geodesic_distance, legendre_orders, n_coeffs,
+                                   norm_assoc_legendre, order_layout, sh_index, sph_to_xyz)
 
 
 def test_sphere_eigendata():
@@ -62,6 +62,15 @@ def test_geodesic_distance():
     n = np.array([0.0, 0.0, 1.0])
     assert geodesic_distance(n, -n) == pytest.approx(math.pi, rel=1e-12)
     assert geodesic_distance(n, np.array([1.0, 0.0, 0.0])) == pytest.approx(math.pi / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-5, math.pi - 1e-7])
+def test_geodesic_distance_is_exact_near_the_point_and_its_antipode(theta):
+    # arccos of the dot product is off by 4e-13 to 1e-9 rad at these colatitudes
+    n = np.array([0.0, 0.0, 1.0])
+    x = sph_to_xyz(np.array(theta), np.array(0.0))
+    assert abs(geodesic_distance(n, x) - theta) <= 4 * np.spacing(theta)
+    assert abs(np.arccos(np.clip(np.dot(n, x), -1.0, 1.0)) - theta) > 4 * np.spacing(theta)
 
 
 def test_assoc_legendre_stable_to_cubature_cap():
@@ -141,6 +150,24 @@ def test_order_major_tables_equal_the_degree_major_reference(L):
     xyz = np.concatenate([xyz, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]],
                           sph_to_xyz(np.arccos([0.9999, -0.9999]), np.array([0.3, -2.0]))])
     assert np.array_equal(real_sh_matrix(L, xyz), _per_degree_real_sh_matrix(L, xyz))
+
+
+@pytest.mark.parametrize("L", [1, 2, 16, 32, 69])
+def test_order_recurrence_equals_the_table_order_by_order(L):
+    rng = np.random.default_rng(L)
+    # the poles, colatitudes 1e-9 and pi - 1e-9 (cos theta rounds to +-1 there) and the
+    # cos theta next to +-1, where sin^m theta underflows and whole orders flush to 0
+    ct = np.concatenate(([1.0, -1.0, math.cos(1e-9), math.cos(math.pi - 1e-9),
+                          np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 0.0],
+                         rng.uniform(-1.0, 1.0, 57)))
+    table = norm_assoc_legendre(L, ct)
+    starts = order_layout(L)[0]
+    orders = [(m, q.copy()) for m, q in legendre_orders(L, ct)]
+    assert [m for m, _ in orders] == list(range(L + 1))
+    for m, q in orders:
+        assert np.array_equal(q, table[:, starts[m]:starts[m + 1]].T)
+    if L == 69:
+        assert np.all(orders[L][1][:, 4:6] == 0.0) and np.all(orders[1][1][:, 4:6] != 0.0)
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 7, 32])
