@@ -189,8 +189,8 @@ def sph_to_xyz(theta, phi):
 def geodesic_distance(x, y):
     """Great-circle distance between unit vectors (broadcasting on the left).
 
-    atan2(|x cross y|, x . y) is exact to rounding everywhere; arccos of the dot
-    product loses about 1e-9 rad within 1e-7 rad of y or of its antipode.
+    atan2(|x cross y|, x . y) is accurate to rounding at every distance; arccos of
+    the dot product is off by up to 1e-9 rad within 1e-7 rad of y or its antipode.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return np.arctan2(np.linalg.norm(np.cross(x, y), axis=-1), np.sum(x * y, axis=-1))

@@ -393,18 +393,23 @@ def test_greedy_candidates_beyond_desk_scale_are_rejected_before_any_work(monkey
 # -- greedy references: one candidate and one point at a time -------------
 
 
+def _arccos_distance(points, x):
+    """Greedy's distance, the arccos form of ``_greedy_distance``, from each of ``points`` to x."""
+    return _greedy_distance(*np.transpose(points), x)
+
+
 def _ref_greedy_centers(t, candidates):
     """Keep each candidate in turn unless it lies within 2t of a center kept before it."""
     chosen = []
     for p in fibonacci_points(candidates):
-        if not chosen or np.min(geodesic_distance(np.array(chosen), p)) >= 2.0 * t:
+        if not chosen or np.min(_arccos_distance(chosen, p)) >= 2.0 * t:
             chosen.append(p)
     return np.array(chosen)
 
 
 def _ref_greedy_label(centers, t, x):
     """The recursive cell of ``x``: first inner ball, else first doubled ball, else nearest."""
-    dist = geodesic_distance(centers, x)
+    dist = _arccos_distance(centers, x)
     for radius in (t, 2.0 * t):
         for k, d in enumerate(dist):
             if d < radius:
@@ -413,7 +418,7 @@ def _ref_greedy_label(centers, t, x):
 
 
 # the first two of three candidates lie exactly 2t apart: the second one is kept
-_T_EDGE = float(geodesic_distance(fibonacci_points(3)[0], fibonacci_points(3)[1])) / 2.0
+_T_EDGE = float(_arccos_distance(fibonacci_points(3)[:1], fibonacci_points(3)[1])[0]) / 2.0
 
 
 def _random_unit_vectors(rng, n):
