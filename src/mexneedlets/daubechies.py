@@ -8,7 +8,10 @@ taken on the filter's own argument axis with p its dilation exponent
 (p = 2 for mexican filters on the eigenvalue axis, p = 1 for cutoff
 filters on the sqrt-eigenvalue axis).  g is sigma-periodic in log x and
 its extrema A <= g <= B are the frame-bound constants; their log-average
-over one period is c / ln(sigma) with c the Calderon constant.
+over one period is c / ln(sigma) with c the Calderon constant (a closed
+form for the mexican and normalized cutoff filters).  ``daubechies_bounds``
+scans one period and refines both extrema together by parabolic steps
+(``_parabolic_maxima``), each step one batched ladder call.
 
 Every ladder sum, full or one-sided, goes through one walk, ``_ladder_walk``.
 Full sums (``_ladder_sums``) walk both ways from the rung nearest the peak,
@@ -29,6 +32,7 @@ _MAX_TERMS = 20000  # rungs per direction
 _BLOCK_SPAN = 1e6
 _WALK_CHUNK_CELLS = _TARGET_CHUNK_FLOATS // 8  # a block holds about eight work arrays at once
 _MAX_GRID_POINTS = 10 ** 5  # 10^6 takes seconds and hundreds of MB
+_PARABOLIC_STEPS = 5  # four reach the extremum to rounding in every tested case
 
 
 def _ladder_step(filt, a):
@@ -149,13 +153,51 @@ class DaubechiesBounds:
     reference_level: float
 
 
+def _parabolic_maxima(f, lo, mid, hi, f_lo, f_mid, f_hi, tol):
+    """Largest sample of f per bracket lo < mid < hi, after successive parabolic steps.
+
+    Every bracket starts with f(mid) >= f(lo), f(hi).  A step takes the
+    vertex of each bracket's parabola through its three points, clipped to
+    the bracket, and evaluates all vertices in one call ``f(x)`` on an
+    array; a vertex that beats its mid becomes the new mid, the old mid
+    becoming the bracket's edge on the far side, and any other vertex becomes
+    the edge on its own side.  A bracket stops moving once its vertex lies
+    within ``tol`` of its mid; the steps end when every bracket has stopped,
+    or after ``_PARABOLIC_STEPS``.  The mid only ever rises, so its final
+    value is the largest sample of f taken in the bracket, the start's
+    included.
+    """
+    lo, mid, hi, f_lo, f_mid, f_hi = (np.array(v, dtype=float)
+                                      for v in (lo, mid, hi, f_lo, f_mid, f_hi))
+    for _ in range(_PARABOLIC_STEPS):
+        left, right = (mid - lo) * (f_mid - f_hi), (mid - hi) * (f_mid - f_lo)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vertex = mid - 0.5 * ((mid - lo) * left - (mid - hi) * right) / (left - right)
+        vertex = np.clip(np.where(np.isfinite(vertex), vertex, mid), lo, hi)
+        moving = np.abs(vertex - mid) > tol
+        if not moving.any():
+            break
+        f_vertex = f(vertex)
+        better = moving & (f_vertex > f_mid)
+        # the vertex's own side moves in to a losing vertex; the far side to the
+        # old mid when the vertex wins
+        edge, f_edge = np.where(better, mid, vertex), np.where(better, f_mid, f_vertex)
+        to_lo, to_hi = moving & ((vertex < mid) != better), moving & ((vertex < mid) == better)
+        lo, f_lo = np.where(to_lo, edge, lo), np.where(to_lo, f_edge, f_lo)
+        hi, f_hi = np.where(to_hi, edge, hi), np.where(to_hi, f_edge, f_hi)
+        mid, f_mid = np.where(better, vertex, mid), np.where(better, f_vertex, f_mid)
+    return f_mid
+
+
 def daubechies_bounds(filt, a, grid_points=256):
     """Lower/upper bound constants A, B of the ladder sum.
 
     Scans a log-uniform grid of lam in [1, a^2) -- at least one full
-    period in either dilation convention -- then refines each extremum by
-    bounded 1-d optimization.  Periodicity extends the bounds to all
-    lam > 0.
+    period in either dilation convention -- then refines the grid's minimum
+    and maximum together, from each one's two grid neighbours, by parabolic
+    steps in u = log lam (``_parabolic_maxima``, one ``_ladder_sums`` call
+    per step for both).  A and B are the least and largest samples taken.
+    Periodicity extends the bounds to all lam > 0.
     """
     if grid_points < 64:
         raise ValueError("grid_points must be at least 64")
@@ -164,27 +206,17 @@ def daubechies_bounds(filt, a, grid_points=256):
                          % (grid_points, _MAX_GRID_POINTS))
     sigma = _ladder_step(filt, a)
     period = 2.0 * math.log(a)
-
-    def g_of_u(u):
-        return daubechies_sum(filt, a, math.exp(u))
-
-    us = np.linspace(0.0, period, int(grid_points), endpoint=False)
+    n = int(grid_points)
+    us = np.linspace(0.0, period, n, endpoint=False)
     gs = _ladder_sums(filt, a, [math.exp(u) for u in us])
     h = period / grid_points
-
-    def refine(i, sign):
-        from scipy.optimize import minimize_scalar
-
-        center = us[i]
-        res = minimize_scalar(
-            lambda u: sign * g_of_u(u),
-            bounds=(center - h, center + h),
-            method="bounded",
-            options={"xatol": 1e-12 * max(period, 1.0)},
-        )
-        return sign * res.fun
-
-    A = min(float(np.min(gs)), refine(int(np.argmin(gs)), 1.0))
-    B = max(float(np.max(gs)), refine(int(np.argmax(gs)), -1.0))
+    # maximize -g near the grid's minimum and g near its maximum
+    i = np.array([np.argmin(gs), np.argmax(gs)])
+    sign = np.array([-1.0, 1.0])
+    best = _parabolic_maxima(lambda u: sign * _ladder_sums(filt, a, np.exp(u)),
+                             us[i] - h, us[i], us[i] + h,
+                             sign * gs[(i - 1) % n], sign * gs[i], sign * gs[(i + 1) % n],
+                             tol=1e-12 * max(period, 1.0))
+    A, B = float(-best[0]), float(best[1])
     reference = calderon_constant(filt) / math.log(sigma)
     return DaubechiesBounds(a=a, A=A, B=B, ratio=B / A, reference_level=reference)

@@ -158,19 +158,23 @@ def parse_filter(spec):
 def calderon_constant(filt):
     """Calderon constant c = int_0^inf |f(t)|^2 dt/t on the filter's own axis.
 
-    Computed after the substitution t = e^u, which makes the mexican
-    integrand decay double-exponentially.  Raises
+    Closed forms where the family has one: for mexican r,
+    c = int_0^inf s^{2r-1} e^{-2s} ds = (2r-1)! / 4^r; for the normalized
+    cutoff, sum_j g(2^j t)^2 = 1 folds the integral onto one octave, so
+    c = int_1^2 dt/t = ln 2.  The raw cutoff bump is integrated by
+    ``scipy.integrate.quad`` in u = log t over its support.  Raises
     :class:`CalderonDivergenceError` when the filter does not vanish at 0,
     in which case the integral diverges logarithmically.
     """
-    from scipy.integrate import quad
-
     if filt.vanishing_order == 0:
         raise CalderonDivergenceError("integral diverges at 0 for vanishing order 0")
     if filt.is_mexican:
-        lo, hi = -40.0, 40.0
-    else:
-        lo, hi = math.log(filt.support[0]), math.log(filt.support[1])
+        return math.factorial(2 * filt.r - 1) / 4 ** filt.r
+    if filt.kind == "normalized_cutoff":
+        return math.log(2.0)
+    from scipy.integrate import quad
+
+    lo, hi = math.log(filt.support[0]), math.log(filt.support[1])
 
     def integrand(u):
         v = filt(math.exp(u))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daubechies import _ladder_sums, filter_axis, truncated_daubechies_sum
+from .daubechies import (_ladder_sums, _parabolic_maxima, filter_axis,
+                         truncated_daubechies_sum)
 from .fields import evaluate_field
 from .frame import FrameSpec, _check_field, _weighted, apply_summation
 from .harmonics import degree_of_index, geodesic_distance, n_coeffs
@@ -34,28 +35,35 @@ _ROW_MARGIN = 1e-12
 
 
 def moment_constant(filt, J):
-    """M_J = max_{r>0} |r^J f(r)| by log-grid bracketing plus refinement.
+    """M_J = max_{s>0} |s^J f(s)|, or inf where it passes the float range.
 
-    The bracket is the grid argmax of J log r + log |f(r)|, which stays finite
-    where r^J alone would overflow on the grid, far from the peak.
+    Mexican r: s^{J+r} e^{-s} peaks at s = k = J + r, so M_J = (k / e)^k.
+    Cutoff filters: the grid argmax of J log s + log |f(s)| on the support,
+    refined by parabolic steps (``_parabolic_maxima``) on the same log.
     """
-    from scipy.optimize import minimize_scalar
-
     if J < 1 or int(J) != J:
         raise ValueError("moment order J must be a positive integer")
-    lo, hi = filt.support
-    if math.isinf(hi):
-        grid = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 4001))
-    else:
-        grid = np.linspace(lo, hi, 4001)[1:-1]
-    with np.errstate(divide="ignore"):  # log 0 = -inf where f vanishes or underflows
-        i = int(np.argmax(J * np.log(grid) + np.log(np.abs(filt(grid)))))
-    peak = grid[i:i + 1] ** J * np.abs(filt(grid[i:i + 1]))
-    left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda s: -(s ** J) * abs(filt(s)), bounds=(left, right),
-                          method="bounded", options={"xatol": 1e-12 * right})
-    return max(float(peak[0]), float(-res.fun))
+    if filt.is_mexican:
+        k = J + filt.r
+        try:
+            return (k / math.e) ** k
+        except OverflowError:
+            return math.inf
+    grid = np.linspace(filt.support[0], filt.support[1], 4001)[1:-1]
+
+    def log_moment(s):
+        with np.errstate(divide="ignore"):  # log 0 = -inf where f vanishes
+            return J * np.log(s) + np.log(np.abs(filt(s)))
+
+    logs = log_moment(grid)
+    i = int(np.argmax(logs))
+    left, right = max(i - 1, 0), min(i + 1, len(grid) - 1)
+    best = _parabolic_maxima(log_moment, grid[[left]], grid[[i]], grid[[right]],
+                             logs[[left]], logs[[i]], logs[[right]], tol=1e-12 * grid[right])
+    try:
+        return math.exp(float(best[0]))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -94,6 +102,8 @@ def frequency_bound(spec, J, L, M, N, tail_norm, F_norm, *, bounds):
     f0_sup = spec.filter.f0_sup()
     c_prime = (L ** (2 * l)) * f0_sup ** 2 / (a ** (4 * l) - 1.0)
     m_j = moment_constant(spec.filter, J)
+    if math.isinf(m_j):
+        raise OverflowError("M_J passes the float range at J = %d" % J)
     c_prime_j = m_j ** 2 / ((a ** (4 * J) - 1.0) * SPHERE_LAMBDA_1 ** (2 * J))
     bound = (c_prime / a ** (4 * M * l) + c_prime_j / a ** (4 * N * J)) * F_norm \
         + 2.0 * bounds.B * tail_norm

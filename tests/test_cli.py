@@ -252,6 +252,8 @@ def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     ["truncation", "--J", "200"],
     # M_J fits a float here, but the prefactor C'_J takes M_J^2
     ["truncation", "--J", "100"],
+    # M_175 = 176^176 e^-176 itself passes the float range, while a^(4 N J) still fits
+    ["truncation", "--J", "175", "--N", "1"],
     ["truncation", "--L", "1e300"],
     ["spatial", "--c", "1e-300"],
     ["needlet-diag", "--a", "1e300"],
@@ -318,6 +320,31 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_bound_commands_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
+    # the frame-bound constants of these commands come from closed forms and
+    # ladder sums alone; what still loads scipy: partition --greedy loads
+    # scipy.spatial, and daubechies --filter cutoff loads scipy.integrate (quad
+    # of the raw bump's Calderon constant)
+    commands = [
+        ["daubechies", "--a", "1.2599210498948732", "--filter", "mexican:r=1"],
+        ["daubechies", "--a", "2.0", "--filter", "normalized_cutoff"],
+        ["frame-verify", "--a", "1.2599", "--b", "0.5", "--l-max", "16", "--j-min", "-18",
+         "--j-max", "4", "--trials", "20", "--seed", "1", "--out", str(tmp_path / "bounds.json")],
+        ["truncation", "--j-min", "-24", "--j-max", "6", "--M", "22", "--N", "4",
+         "--out", str(tmp_path / "freq.json")],
+    ]
+    code = ("import contextlib, io, sys; from mexneedlets.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in %r]\n"
+            "print(codes, sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))" % (commands,))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[0, 0, 0, 0] []"
 
 
 def test_determinism_byte_identical(tmp_path):

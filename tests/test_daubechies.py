@@ -7,6 +7,7 @@ import pytest
 from mexneedlets import (FrameSpec, SpectralFilter, calderon_constant, daubechies_bounds,
                          daubechies_sum, eigen_daubechies_sum, sphere_eigenvalue,
                          truncated_daubechies_sum, window_margin)
+from mexneedlets import daubechies
 from mexneedlets.daubechies import (_MAX_TERMS, _TAIL_REL, _WALK_CHUNK_CELLS, _ladder_sums,
                                     _ladder_walk, _peak_rung)
 
@@ -45,6 +46,25 @@ def brute_ladder_sum(filt, a, lam, span=400):
     sigma = a ** filt.dilation_exponent
     js = np.arange(-span, span + 1)
     return float(np.sum(filt(lam * sigma ** js.astype(float)) ** 2))
+
+
+def brent_bounds(filt, a, grid_points=256):
+    """Oracle: the same scan, then a bounded Brent search (xatol 1e-12 period) about each extremum."""
+    from scipy.optimize import minimize_scalar
+
+    period = 2.0 * math.log(a)
+    us = np.linspace(0.0, period, grid_points, endpoint=False)
+    gs = _ladder_sums(filt, a, [math.exp(u) for u in us])
+    h = period / grid_points
+
+    def refine(i, sign):
+        res = minimize_scalar(lambda u: sign * daubechies_sum(filt, a, math.exp(u)),
+                              bounds=(us[i] - h, us[i] + h), method="bounded",
+                              options={"xatol": 1e-12 * max(period, 1.0)})
+        return sign * res.fun
+
+    return (min(float(np.min(gs)), refine(int(np.argmin(gs)), 1.0)),
+            max(float(np.max(gs)), refine(int(np.argmax(gs)), -1.0)))
 
 
 def test_sum_matches_brute_oracle():
@@ -121,6 +141,43 @@ def test_bounds_enclose_sum_everywhere():
         for lam in lams:
             g = daubechies_sum(MEX1, a, float(lam))
             assert b.A * (1 - 1e-10) <= g <= b.B * (1 + 1e-10)
+
+
+BOUNDS_CASES = ([(SpectralFilter("mexican", r), a) for r in (1, 2, 3)
+                 for a in (1.002, 1.05, A13, 1.2599, math.sqrt(2.0), 2.0)]
+                + [(CUT, 1.3), (CUT, 2.0), (NORM, 2.0)])
+
+
+@pytest.mark.parametrize("filt, a", BOUNDS_CASES,
+                         ids=["%s-%.6g" % (filt.name, a) for filt, a in BOUNDS_CASES])
+def test_bounds_match_the_brent_oracle_and_enclose_a_fine_scan(filt, a):
+    b = daubechies_bounds(filt, a)
+    A0, B0 = brent_bounds(filt, a)
+    # where g is flat to its own rounding (B - A below 1e-13 of A: a <= 1.05 for
+    # mexican filters, normalized cutoff), A and B are extremes of rounding noise,
+    # and the two searches sample different points of it
+    noise = B0 - A0 if B0 - A0 < 1e-13 * A0 else 0.0
+    assert abs(b.A - A0) <= max(1e-15 * A0, noise)
+    assert abs(b.B - B0) <= max(1e-15 * B0, noise)
+    # a 16 times finer scan, allowing the sum's rounding (2.3e-15 of A at a = 1.002)
+    us = np.linspace(0.0, 2.0 * math.log(a), 4096, endpoint=False)
+    scan = _ladder_sums(filt, a, np.exp(us))
+    assert b.A * (1.0 - 1e-14) <= np.min(scan)
+    assert np.max(scan) <= b.B * (1.0 + 1e-14)
+
+
+def test_bounds_refine_both_extrema_in_one_ladder_call_per_step(monkeypatch):
+    sizes = []
+
+    def recording(filt, a, lams):
+        sizes.append(len(lams))
+        return _ladder_sums(filt, a, lams)
+
+    monkeypatch.setattr(daubechies, "_ladder_sums", recording)
+    daubechies_bounds(MEX1, 2.0)
+    assert sizes[0] == 256
+    assert 1 <= len(sizes) - 1 <= daubechies._PARABOLIC_STEPS
+    assert set(sizes[1:]) == {2}
 
 
 def test_normalized_cutoff_exact_partition_bounds():

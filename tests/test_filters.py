@@ -61,11 +61,18 @@ def test_parse_filter_names():
 
 
 def test_calderon_closed_forms():
-    # int_0^inf s^{2r-1} e^{-2s} ds = (2r-1)! / 2^{2r}
+    # against quadrature: int_0^inf s^{2r-1} e^{-2s} ds = (2r-1)! / 4^r
     for r in (1, 2, 3):
-        expected = math.factorial(2 * r - 1) / 4.0 ** r
-        got = calderon_constant(SpectralFilter("mexican", r))
-        assert got == pytest.approx(expected, rel=1e-10)
+        oracle, _ = quad(lambda s: s ** (2 * r - 1) * math.exp(-2.0 * s), 0.0, math.inf,
+                         epsabs=0.0, epsrel=1e-13)
+        assert calderon_constant(SpectralFilter("mexican", r)) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_calderon_normalized_cutoff_is_ln2():
+    # sum_j g(2^j t)^2 = 1 folds int_0^inf g^2 dt/t onto one octave
+    oracle, _ = quad(lambda s: NORM(s) ** 2 / s, 0.5, 2.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert oracle == pytest.approx(math.log(2.0), rel=1e-12)
+    assert calderon_constant(NORM) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_calderon_cutoff_against_direct_quadrature():

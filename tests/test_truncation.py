@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,34 @@ def test_moment_constant_where_the_grid_powers_overflow():
     closed = math.exp((J + 1) * math.log(J + 1) - (J + 1))
     with np.errstate(over="raise"):
         assert moment_constant(MEX1, J) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 5, 10, 40, 77, 130, 150, 170])
+def test_mexican_moment_constant_against_decimal(J):
+    # M_J = k^k e^{-k} at k = J + 1, to 50 digits; 171^171 e^-171 is 3.8e307
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k = Decimal(J + 1)
+        reference = float(k ** (J + 1) * (-k).exp())
+    assert moment_constant(MEX1, J) == pytest.approx(reference, rel=1e-13)
+
+
+def test_mexican_moment_constant_past_the_float_range_is_inf(spec, bounds):
+    assert moment_constant(MEX1, 200) == math.inf
+    with pytest.raises(OverflowError, match="M_J passes the float range"):
+        frequency_bound(spec, 200, 6.0, 1, 0, 0.0, 1.0, bounds=bounds)
+
+
+@pytest.mark.parametrize("J", [1, 3, 10])
+@pytest.mark.parametrize("filt", [CUT, SpectralFilter("normalized_cutoff")], ids=lambda f: f.name)
+def test_cutoff_moment_constant_matches_a_brent_search(filt, J):
+    from scipy.optimize import minimize_scalar
+
+    grid = np.linspace(0.5, 2.0, 4001)[1:-1]
+    i = int(np.argmax(grid ** J * filt(grid)))
+    res = minimize_scalar(lambda s: -(s ** J) * filt(s), bounds=(grid[i - 1], grid[i + 1]),
+                          method="bounded", options={"xatol": 1e-12 * grid[i + 1]})
+    assert moment_constant(filt, J) == pytest.approx(-res.fun, rel=1e-14)
 
 
 def test_moment_constant_cutoff_support():
