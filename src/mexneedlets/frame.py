@@ -19,24 +19,27 @@ through degrees l <= min(L_j, field band), and S F carries degrees up to L_j.
 ``quadratic_form`` and ``apply_summation`` evaluate S on the whole frame and
 never form the values G_j(x_k): on a ring of n points order m meets order m'
 only where n divides m - m' or m + m' (``sphgrid``), so a ring longer than
-L_in + L_out couples no two orders.  Every row of a ``FrameSpec`` carries the
-same band L_max, so on first use the frame sums its rows once (``_RowStack``):
-the rows of n > 2 L_max points of all scales add up to one Gram block H_m
-per order m, built from one order-by-order Legendre recurrence over the stacked
-long rows (no whole Legendre table is formed), and S F reads u_m^T H_m u_m and
+L_in + L_out couples no two orders.  Both frame kinds take one path: on first
+use at a band L the frame sums its rows once (``_RowStack``), each scale's
+weights cut or zero-padded to degrees 0..L.  The rows of n > 2 min(L, L_j)
+points of all scales add up to one Gram block H_m per order m, built from the
+order slices of Legendre tables over the stacked long rows, and S F reads
 H_m u_m off the order-m cosine and sine coefficients u_m.  The other rows, all
 scales' together, form one short ``BandGrid`` whose tables carry each row's
 w_j(l), and its ``BandGrid.energy`` and ``BandGrid.normal`` bin their orders
-modulo n.  A
-needlet frame's scales have different bands and about L rows each, so a
-Gram costs it as much as L forms: it takes ``energy`` and ``normal`` scale
-by scale.  S over a window of scales is S of a sub-frame, a ``FrameSpec``
-over those scales' partitions.  Point values enter only ``analyze`` and the
-elements here; S over a subset of a scale's points is the spatial sweep's,
-in ``truncation``.
+modulo n.  Every row of a cutoff-needlet frame is long (n = 2 L_j + 1), so its
+S is the blocks alone.  Forms read the stack at the field's band and S F at the
+frame band, so a frame keeps at most those two.  The stack pays for itself at
+once: for the needlet frame of scales -6..0 at its coverage band 69 (254
+rows), the first form, stack included, took about 10 ms against 11-17 ms scale
+by scale, and later forms about 0.6 ms against 2.5 ms (2-vCPU host).
+S over a window of scales is S of a sub-frame, a ``FrameSpec`` over those
+scales' partitions.  Point values enter only ``analyze`` and the elements
+here; S over a subset of a scale's points is the spatial sweep's, in
+``truncation``.
 
-Both paths take a coefficient block of k fields as readily as one field
-(the grids' batch axis), so ``empirical_frame_bounds`` sends all its seeded
+S takes a coefficient block of k fields as readily as one field (the
+blocks' and the grids' batch axis), so ``empirical_frame_bounds`` sends all its seeded
 trial fields through the frame together.
 """
 
@@ -51,11 +54,12 @@ from .errors import BandLimitError
 from .fields import HarmonicField, require_nonzero
 from . import sphgrid
 from .harmonics import (band_of_length, degree_of_index, legendre_orders, n_coeffs,
-                        order_layout, real_sh_matrix, sphere_eigenvalue)
+                        norm_assoc_legendre, order_layout, real_sh_matrix, sphere_eigenvalue)
 from .partition import ScalePartition, build_partition
 
 ADEQUACY_EPS = 1e-6
 _EDGE_PROBES = 16  # candidate edges walked together per search round
+_TABLE_ROWS = 512  # fewer long rows than this take one whole Legendre table per chunk
 
 
 def default_scale_window(filt, a, L_max):
@@ -106,7 +110,7 @@ class FrameSpec:
         if not all(isinstance(part, ScalePartition) for part in self.partitions.values()):
             raise ValueError("frames need band partitions; greedy partitions are a witness only")
         self._weights = {}
-        self._stack = None
+        self._stacks = {}  # band -> _RowStack
 
     @classmethod
     def build(cls, filt, a, b, L_max, j_range=None):
@@ -144,12 +148,6 @@ class FrameSpec:
     def coverage_limit(self):
         return self.L_max
 
-    def _row_stack(self):
-        """The per-order blocks and short grid of ``_RowStack``, built on first use."""
-        if self._stack is None:
-            self._stack = _RowStack(self)
-        return self._stack
-
     def n_cells(self, j):
         return self.partitions[j].n_cells
 
@@ -162,14 +160,9 @@ class FrameSpec:
         return sum(self.n_cells(j) for j in self.scales)
 
 
-def _band_limit(frame):
-    """Largest degree any scale of the frame carries."""
-    return max(len(w) for _, _, w in frame.terms()) - 1
-
-
 def _check_field(frame, field):
     # constants are allowed everywhere: the frame annihilates them exactly
-    L = _band_limit(frame)
+    L = frame.L_max  # the largest degree any scale of the frame carries
     if field.L_max > L:
         if np.any(field.coeffs[n_coeffs(L):] != 0.0):
             raise BandLimitError("field carries degrees beyond the frame band limit")
@@ -202,27 +195,29 @@ def frame_element(frame, j, k):
 
 
 class _RowStack:
-    """A ``FrameSpec``'s rows of every scale summed once: per-order blocks and one short grid.
+    """A frame's rows of every scale summed once at band L: per-order blocks and one short grid.
 
-    On a row of n > 2 L_max points order m meets no other order, for any field band
-    L_in <= L_max, so the long rows of all scales add up to one block per order,
-    H_m = sum_rows n mu diag(w_j) p_m p_m^T diag(w_j), with p_m the row's values
-    N_{l,m} P_l^m(cos theta) at degrees l = m..L_max and w_j its scale's weights.  The
-    long rows of every scale are stacked, and for each order m ``legendre_orders`` gives
-    their (L_max - m + 1, rows) table, which is scaled in place by w_j(l) sqrt(n mu)
-    and enters H_m as one product with its transpose.  Rows are taken in chunks so that
-    no order table or weight array exceeds the work budget; no whole Legendre table is
-    formed.  The cosine and the sine coefficients u of order m take u^T H_m u and
-    H_m u.  The short rows of every scale form one ``BandGrid`` whose tables carry each
-    row's w_j(l).
+    Row weights w_j are cut or zero-padded to degrees 0..L.  A row of scale j and n points
+    then meets fields of band at most min(L, L_j) on both sides, L_j = len(w_j) - 1, so for
+    n > 2 min(L, L_j) its order m meets no other order, and the long rows of all scales
+    add up to one block per order, H_m = sum_rows n mu diag(w_j) p_m p_m^T diag(w_j), with
+    p_m the row's values N_{l,m} P_l^m(cos theta) at degrees l = m..L.  Every row of a
+    cutoff-needlet frame is long (n = 2 L_j + 1), so its S is the blocks alone.  The long
+    rows of every scale are stacked and taken in chunks within the work budget; per order m
+    a chunk's (L - m + 1, rows) table (``_order_tables``) is scaled in place by
+    w_j(l) sqrt(n mu) and enters H_m as one product with its transpose.  The cosine and
+    the sine coefficients u of order m take H_m u, and a form is c . S c.  The short rows
+    of every scale form one ``BandGrid`` whose tables carry each row's w_j(l).
     """
 
-    def __init__(self, frame):
-        L = self.L = frame.L_max
+    def __init__(self, frame, L):
+        self.L = L
         short, cos_theta, root, scale = [], [], [], []
         for i, (_, grid, w) in enumerate(frame.terms()):
-            is_long = grid.counts > 2 * L
-            short.append((grid, ~is_long, w))
+            is_long = grid.counts > 2 * min(L, len(w) - 1)
+            fitted = np.zeros(L + 1)
+            fitted[: min(len(w), L + 1)] = w[: L + 1]
+            short.append((grid, ~is_long, fitted))
             cos_theta.append(np.cos(grid.theta[is_long]))
             root.append(np.sqrt(grid.counts[is_long] * grid.row_weight[is_long]))
             scale.append(np.full(np.count_nonzero(is_long), i))
@@ -234,7 +229,7 @@ class _RowStack:
             chunk = slice(lo, lo + step)
             weight = degree_weights[:, scale[chunk]]  # w_j(l) sqrt(n mu) of each row
             weight *= root[chunk]
-            for m, q in legendre_orders(L, cos_theta[chunk]):
+            for m, q in _order_tables(L, cos_theta[chunk]):
                 q *= weight[m:]
                 self.blocks[m] += q @ q.T
 
@@ -249,7 +244,7 @@ class _RowStack:
                                                for _, keep, w in short]))
 
     def _long(self, coeffs):
-        """The long rows' part of S c at degrees <= L_max, from the blocks H_m."""
+        """The long rows' part of S c at degrees <= L, from the blocks H_m."""
         L_in = band_of_length(len(coeffs))
         starts_in, _, cos_in, sin_in = order_layout(L_in)
         starts, _, cos_out, sin_out = order_layout(self.L)
@@ -263,20 +258,11 @@ class _RowStack:
         return out
 
     def forms(self, coeffs):
-        """``_forms``: sum_m u_m^T H_m u_m over the cosine and sine parts, plus the short grid."""
-        block = coeffs.reshape(len(coeffs), -1)
-        L_in = band_of_length(len(block))
-        starts, _, cos_index, sin_index = order_layout(L_in)
-        total = np.zeros(block.shape[1])
-        for m in range(L_in + 1):
-            s = slice(starts[m], starts[m + 1])
-            H = self.blocks[m][: L_in - m + 1, : L_in - m + 1]
-            for index in (cos_index[s], sin_index[s]) if m else (cos_index[s],):
-                u = block[index]
-                total += np.sum(u * (H @ u), axis=0)
+        """``_forms`` of coefficients at band L: c . H c from ``_long``, plus the short grid."""
+        total = np.sum(coeffs * self._long(coeffs), axis=0)
         if self.short is not None:
-            total += self.short.energy(block)
-        return float(total[0]) if coeffs.ndim == 1 else total
+            total += self.short.energy(coeffs)
+        return float(total) if coeffs.ndim == 1 else total
 
     def summed(self, coeffs):
         """``_summed``: H_m u_m per order and part, plus the short grid's ``normal``."""
@@ -286,11 +272,33 @@ class _RowStack:
         return out
 
 
+def _order_tables(L, cos_theta):
+    """``legendre_orders(L, cos_theta)``, or the same bits as order slices of one whole table.
+
+    Below ``_TABLE_ROWS`` rows the degree-vectorized ``norm_assoc_legendre`` is faster, and
+    its table is taken whenever it fits the work budget.
+    """
+    starts = order_layout(L)[0]
+    if len(cos_theta) < _TABLE_ROWS and len(cos_theta) * starts[-1] <= sphgrid._TARGET_CHUNK_FLOATS:
+        table = norm_assoc_legendre(L, cos_theta)
+        return ((m, table[:, starts[m]:starts[m + 1]].T) for m in range(L + 1))
+    return legendre_orders(L, cos_theta)
+
+
+def _row_stack(frame, L):
+    """The frame's ``_RowStack`` at band L, built on first use and kept."""
+    stack = frame._stacks.get(L)
+    if stack is None:
+        stack = frame._stacks[L] = _RowStack(frame, L)
+    return stack
+
+
 def _forms(frame, coeffs):
-    """<S F, F> of a coefficient vector, or of each column of a block of fields."""
-    if isinstance(frame, FrameSpec):
-        return frame._row_stack().forms(coeffs)
-    return sum(grid.energy(_weighted(w, coeffs)) for _, grid, w in frame.terms())
+    """<S F, F> of a coefficient vector, or of each column of a block, within the frame band.
+
+    Reads the stack at the field's band: degrees above it meet zero coefficients.
+    """
+    return _row_stack(frame, band_of_length(len(coeffs))).forms(coeffs)
 
 
 def quadratic_form(frame, field):
@@ -299,14 +307,8 @@ def quadratic_form(frame, field):
 
 
 def _summed(frame, coeffs):
-    """S F of a coefficient vector, or of each column of a block of fields."""
-    if isinstance(frame, FrameSpec):
-        return frame._row_stack().summed(coeffs)
-    out = np.zeros((n_coeffs(_band_limit(frame)),) + coeffs.shape[1:])
-    for _, grid, w in frame.terms():
-        L = len(w) - 1
-        out[: n_coeffs(L)] += _weighted(w, grid.normal(_weighted(w, coeffs), L))
-    return out
+    """S F of a coefficient vector, or of each column of a block, at the frame band."""
+    return _row_stack(frame, frame.L_max).summed(coeffs)
 
 
 def apply_summation(frame, field):

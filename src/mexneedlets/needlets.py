@@ -48,6 +48,13 @@ class NeedletScale:
 class NeedletFrame:
     filter: object
     scales: list = dataclass_field(default_factory=list)
+    # band -> frame._RowStack, built on first use
+    _stacks: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def L_max(self):
+        """Largest cut degree: the band limit of S F."""
+        return max(s.l_cut for s in self.scales)
 
     def terms(self):
         """[(j, cubature grid with cubature weights, g(2^j l) for l <= l_cut)]."""
@@ -55,12 +62,11 @@ class NeedletFrame:
 
     def coverage_limit(self):
         """Largest L with the full partition of unity inside the scale range."""
-        L_probe = max(s.l_cut for s in self.scales)
-        mass = np.zeros(L_probe + 1)
+        mass = np.zeros(self.L_max + 1)
         for s in self.scales:
             mass[: s.l_cut + 1] += s.weights ** 2
         L = 0
-        for l in range(1, L_probe + 1):
+        for l in range(1, self.L_max + 1):
             if abs(mass[l] - 1.0) < 1e-12:
                 L = l
             else:

@@ -19,7 +19,6 @@ centers, never candidates x centers or grid points x centers.
 
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -238,8 +237,6 @@ def greedy_ball_partition(t, candidates=2000):
     """
     if not 0.0 < t < math.pi:
         raise ValueError("ball radius t must lie in (0, pi)")
-    if (4.0 * t) ** 2 < 4.0 * math.pi / sys.float_info.max:
-        raise ValueError("t = %r too small: min measure / (4t)^2 overflows a float" % (t,))
     if candidates < 1:
         raise ValueError("need at least one candidate point")
     if candidates > _MAX_CANDIDATES:

@@ -229,16 +229,11 @@ def test_frame_verify_band_below_1_exits_2(mode, l_max, monkeypatch, capsys):
     # disjoint radius-t balls: at most min(candidates, 1 / sin^2(t/2)) centers
     (["partition", "--greedy", "--t", "0.001", "--candidates", "20001"],
      "up to 20001 centers at t = 0.001 from 20001 candidates, beyond desk scale (at most 20000)"),
-    # achieved-c0 = min measure / (4t)^2: a ZeroDivisionError, then inf, before the check
-    (["partition", "--greedy", "--t", "1e-300", "--candidates", "3"],
-     "t = 1e-300 too small: min measure / (4t)^2 overflows a float"),
-    (["partition", "--greedy", "--t", "1e-160", "--candidates", "3"],
-     "t = 1e-160 too small: min measure / (4t)^2 overflows a float"),
 ], ids=["tol-0", "tol-negative", "tol-0-series", "l-max-0", "l-max-negative", "needlet-j-above-0",
         "n-800", "n-1e6", "l-max-above-cap", "n-250-tails", "n-708-tails", "i-decay-1",
         "i-decay-0", "i-decay-negative", "c-0", "c-negative", "doublings-1100", "c-1e300",
         "grid-points-above-cap", "n-theta-above-cap", "candidates-above-cap",
-        "greedy-centers-above-cap", "greedy-t-1e-300", "greedy-t-1e-160"])
+        "greedy-centers-above-cap"])
 def test_out_of_domain_parameter_exits_2(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -323,13 +318,13 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
 
 
 def test_readme_bound_commands_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
-    # the frame-bound constants of these commands come from closed forms and
-    # ladder sums alone; what still loads scipy: partition --greedy loads
-    # scipy.spatial, and daubechies --filter cutoff loads scipy.integrate (quad
-    # of the raw bump's Calderon constant)
+    # the frame-bound constants of these commands come from closed forms, a fixed
+    # Gauss-Legendre rule (the raw bump's Calderon constant) and ladder sums alone;
+    # what still loads scipy: partition --greedy loads scipy.spatial
     commands = [
         ["daubechies", "--a", "1.2599210498948732", "--filter", "mexican:r=1"],
         ["daubechies", "--a", "2.0", "--filter", "normalized_cutoff"],
+        ["daubechies", "--a", "2.0", "--filter", "cutoff"],
         ["frame-verify", "--a", "1.2599", "--b", "0.5", "--l-max", "16", "--j-min", "-18",
          "--j-max", "4", "--trials", "20", "--seed", "1", "--out", str(tmp_path / "bounds.json")],
         ["truncation", "--j-min", "-24", "--j-max", "6", "--M", "22", "--N", "4",
@@ -344,7 +339,7 @@ def test_readme_bound_commands_leave_scipy_integrate_and_optimize_unloaded(tmp_p
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[0, 0, 0, 0] []"
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0] []"
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -432,6 +427,16 @@ def test_greedy_partition_reports_its_cover_radius(capsys):
     assert run(["partition", "--greedy", "--t", "0.7853981633974483"]) == 0
     assert capsys.readouterr().out == ("cells=4 sum-measure=12.5663706144 max-diameter=3.14159 "
                                        "achieved-c0=0.263911 cover-radius=1.56304\n")
+
+
+@pytest.mark.parametrize("t", ["1e-300", "1e-160"])
+def test_greedy_partition_at_a_tiny_radius_prints_a_finite_c0(t, capsys):
+    # achieved-c0 divides by min(2 max(2t, R), pi)^2, and the covering radius R of
+    # the few centers keeps it finite however small t is
+    assert run(["partition", "--greedy", "--t", t, "--candidates", "3"]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    assert fields["cells"] == "3" and math.isfinite(float(fields["achieved-c0"]))
+    assert float(fields["achieved-c0"]) > 0
 
 
 def test_config_flag_option_matches_the_flag(tmp_path, capsys):

@@ -14,7 +14,7 @@ from mexneedlets.errors import BandLimitError, ZeroFieldError
 from mexneedlets.daubechies import eigen_daubechies_sum
 from mexneedlets.frame import ADEQUACY_EPS, _forms, _summed, _weighted
 from mexneedlets.harmonics import (degree_of_index, legendre_orders, n_coeffs,
-                                   sphere_eigenvalue)
+                                   norm_assoc_legendre, sphere_eigenvalue)
 from mexneedlets.sphgrid import BandGrid
 
 MEX1 = SpectralFilter("mexican", 1)
@@ -386,7 +386,7 @@ def test_default_scale_window_near_a_one_walks_few_cells():
     assert filt.cells < 60_000
 
 
-# -- the row stack of a FrameSpec ----------------------------------------------
+# -- the row stack of a frame ---------------------------------------------------
 
 
 def _per_scale_forms(frame, coeffs):
@@ -412,6 +412,8 @@ def readme_frame():
 
 @pytest.fixture(scope="module")
 def stack_frames(spec, readme_frame):
+    # a needlet frame's rows are all long for their own bands (n = 2 l_cut + 1), and its
+    # scales carry bands 1..15: the stack cuts or pads each scale's w_j to the stack band
     coarse = sub_frame(spec, [1, 2])
     assert all(np.all(g.counts <= 2 * spec.L_max) for _, g, _ in coarse.terms())
     # rows of exactly 2 L_max = 8 points, where orders m = m' = L_max alias, at scales whose
@@ -419,14 +421,18 @@ def stack_frames(spec, readme_frame):
     boundary = FrameSpec.build(MEX1, A13, 1.0, L_max=4, j_range=(-6, -4))
     assert all(np.any(g.counts == 8) for _, g, _ in boundary.terms())
     return {"spec": spec, "sub-frame": sub_frame(spec, [-7, -4, -3, 0]),
-            "all-short": coarse, "boundary": boundary, "readme": readme_frame}
+            "all-short": coarse, "boundary": boundary, "readme": readme_frame,
+            "needlet": _needlet_frame()}
 
 
 def _column_rel_err(got, ref):
     return np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
 
 
-@pytest.mark.parametrize("name", ["spec", "sub-frame", "all-short", "boundary", "readme"])
+STACK_FRAMES = ["spec", "sub-frame", "all-short", "boundary", "readme", "needlet"]
+
+
+@pytest.mark.parametrize("name", STACK_FRAMES)
 @pytest.mark.parametrize("band_drop", [0, 3])
 @pytest.mark.parametrize("columns", [None, 7])
 def test_row_stack_matches_the_per_scale_sums(stack_frames, name, band_drop, columns):
@@ -442,10 +448,10 @@ def test_row_stack_matches_the_per_scale_sums(stack_frames, name, band_drop, col
     assert np.all(_column_rel_err(summed.reshape(len(summed), -1),
                                   ref_summed.reshape(len(summed), -1)) <= 1e-13)
     if name == "all-short":
-        assert not any(block.any() for block in frame._row_stack().blocks)
+        assert not any(block.any() for block in frame_module._row_stack(frame, frame.L_max).blocks)
 
 
-@pytest.mark.parametrize("name", ["spec", "sub-frame", "all-short", "boundary", "readme"])
+@pytest.mark.parametrize("name", STACK_FRAMES)
 def test_row_stack_summation_is_self_adjoint_and_mean_zero(stack_frames, name):
     frame = stack_frames[name]
     rng = np.random.default_rng(32)
@@ -468,35 +474,51 @@ def test_exact_summation_operator_of_the_spatial_frame():
     assert abs(np.linalg.eigvalsh(S).max() - 0.557831) <= 1e-6
 
 
-def test_needlet_forms_and_sums_are_the_per_scale_sums():
-    frame = _needlet_frame()
-    rng = np.random.default_rng(33)
-    L = max(s.l_cut for s in frame.scales)
-    for coeffs in (HarmonicField.random_mean_zero(L, rng).coeffs,
-                   np.stack([HarmonicField.random_mean_zero(L - 3, rng).coeffs
-                             for _ in range(7)], axis=1)):
-        assert np.array_equal(_forms(frame, coeffs), _per_scale_forms(frame, coeffs))
-        assert np.array_equal(_summed(frame, coeffs), _per_scale_summed(frame, coeffs))
+def test_needlet_stack_blocks_are_the_identity_on_the_covered_degrees():
+    # each cubature rule integrates its scale's squared band projections exactly, so
+    # S = sum_j g(2^j sqrt(-Delta))^2, which is 1 on every degree the scales cover
+    frame = build_needlet_frame(SpectralFilter("normalized_cutoff"), -6, 0)
+    L = frame.coverage_limit()
+    assert L == 69
+    stack = frame_module._row_stack(frame, L)
+    assert stack.short is None  # every row is long: S is the blocks alone
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(block[1:, 1:] if m == 0 else block)
+                                  for m, block in enumerate(stack.blocks)])
+    assert eigenvalues.size == (L + 1) * (L + 2) // 2 - 1  # each H_m acts on cosines and sines
+    assert np.abs(eigenvalues - 1.0).max() <= 1e-11
 
 
-def test_row_stack_takes_long_rows_in_chunks_within_the_budget(spec, field, monkeypatch):
-    chunks, arrays = [], []
+def test_row_stack_takes_long_rows_in_chunks_within_the_budget(spec, monkeypatch):
+    orders, tables, arrays = [], [], []
 
-    def recording(L, cos_theta):
-        chunks.append(cos_theta.size)
+    def recording_orders(L, cos_theta):
+        orders.append(cos_theta.size)
         arrays.append((L + 1) * cos_theta.size)  # the chunk's (L + 1, rows) row weights
         for m, q in legendre_orders(L, cos_theta):
             arrays.append(q.size)
             yield m, q
 
-    frame = sub_frame(spec, spec.scales)
-    long_rows = sum(int(np.sum(g.counts > 2 * frame.L_max)) for _, g, _ in frame.terms())
-    # a third of the stacked long rows per chunk
-    monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", (frame.L_max + 1) * (long_rows // 3))
-    monkeypatch.setattr(frame_module, "legendre_orders", recording)
-    form, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
-    assert len(chunks) > 1 and sum(chunks) == long_rows
-    assert max(arrays) <= sphgrid._TARGET_CHUNK_FLOATS
-    assert form == pytest.approx(_per_scale_forms(spec, field.coeffs), rel=1e-13)
-    ref = _per_scale_summed(spec, field.coeffs)
-    assert np.linalg.norm(SF - ref) <= 1e-13 * np.linalg.norm(ref)
+    def recording_table(L, cos_theta):
+        tables.append(cos_theta.size)
+        table = norm_assoc_legendre(L, cos_theta)
+        arrays.extend([(L + 1) * cos_theta.size, table.size])
+        return table
+
+    monkeypatch.setattr(frame_module, "legendre_orders", recording_orders)
+    monkeypatch.setattr(frame_module, "norm_assoc_legendre", recording_table)
+    rng = np.random.default_rng(34)
+    for frame in (sub_frame(spec, spec.scales), _needlet_frame()):  # neither has a stack yet
+        L = frame.L_max
+        long_rows = sum(int(np.sum(g.counts > 2 * min(L, len(w) - 1)))
+                        for _, g, w in frame.terms())
+        # all long rows but two per chunk: only the last chunk's whole table fits the budget
+        monkeypatch.setattr(sphgrid, "_TARGET_CHUNK_FLOATS", (L + 1) * (long_rows - 2))
+        for log in (orders, tables, arrays):
+            log.clear()
+        field = HarmonicField.random_mean_zero(L, rng)
+        form, SF = quadratic_form(frame, field), apply_summation(frame, field).coeffs
+        assert orders == [long_rows - 2] and tables == [2]
+        assert max(arrays) <= sphgrid._TARGET_CHUNK_FLOATS
+        assert form == pytest.approx(_per_scale_forms(frame, field.coeffs), rel=1e-13)
+        ref = _per_scale_summed(frame, field.coeffs)
+        assert np.linalg.norm(SF - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -374,11 +374,12 @@ def test_greedy_center_bound_admits_the_desk_scale_corners(t, candidates, monkey
 
 
 @pytest.mark.parametrize("t", [1e-160, 1e-300, 5e-324])
-def test_greedy_radius_too_small_for_the_measure_condition_is_rejected(t, monkeypatch):
-    monkeypatch.setattr(partition_module, "fibonacci_points", _refuse_candidates)
-    with pytest.raises(ValueError, match=r"t = %r too small: min measure / \(4t\)\^2 overflows"
-                                         % (t,)):
-        greedy_ball_partition(t, candidates=3)
+def test_greedy_radius_far_below_the_float_range_keeps_a_finite_c0(t):
+    # achieved-c0 divides by min(2 max(2t, R), pi)^2, and the covering radius R of
+    # three centers keeps that divisor away from 0 however small t is
+    part = greedy_ball_partition(t, candidates=3)
+    assert part.n_cells == 3
+    assert 0.0 < part.achieved_c0() < math.inf
 
 
 def test_greedy_candidates_beyond_desk_scale_are_rejected_before_any_work(monkeypatch):
